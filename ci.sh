@@ -7,6 +7,10 @@ cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
 cargo build --offline --examples
+# The benchmark (hdbench/) is a workspace of its own that calls the library
+# crates, so the workspace build above cannot see it break; build it here
+# into the shared target directory.
+cargo build --release --offline --manifest-path hdbench/Cargo.toml --target-dir target
 cargo test -q --offline --workspace
 
 # Observability: unit tests for the in-tree tracing/metrics crate, then an

@@ -20,9 +20,6 @@
 //! | `intensional`| §1's cost critique of the roll-up/drill-down method \[23\] |
 //! | `threads`    | pooled brute force at 1/2/4 workers: speedup + identity  |
 //! | `all`        | everything above, in order                               |
-//!
-//! The Criterion benches under `benches/` wrap scaled-down versions of the
-//! same experiment code for statistically careful timing.
 
 pub mod ablation;
 pub mod arrhythmia;

@@ -8,7 +8,7 @@
 //! numbers recorded in `BENCH_detect.json` are honest wall-clock, not an
 //! extrapolation.
 
-use hdoutlier_core::brute::{brute_force_search_parallel, BruteForceConfig};
+use hdoutlier_core::brute::{brute_force_search_incremental_parallel, BruteForceConfig};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::uniform;
 use hdoutlier_index::BitmapCounter;
@@ -81,7 +81,8 @@ pub fn run(config: &Config) -> Vec<ThreadsRow> {
         .iter()
         .map(|&threads| {
             let start = std::time::Instant::now();
-            let outcome = brute_force_search_parallel(&counter, config.k, &brute_config, threads);
+            let outcome =
+                brute_force_search_incremental_parallel(&counter, config.k, &brute_config, threads);
             let elapsed_s = start.elapsed().as_secs_f64();
 
             let signature: Vec<(u64, String)> = outcome

@@ -180,6 +180,10 @@ impl ObsSession {
             }
         }
         if let Some(path) = self.metrics_out.take() {
+            // Process vitals and allocator totals are gauges sampled on
+            // demand; sample them now so the snapshot carries the run's
+            // final values.
+            obs::refresh_process_metrics();
             std::fs::write(&path, obs::registry().snapshot_ndjson())
                 .map_err(|e| format!("failed to write metrics {path}: {e}"))?;
         }

@@ -4,6 +4,8 @@
 
 use hdoutlier_cli::json::Json;
 use hdoutlier_cli::{exit, run};
+use std::collections::HashMap;
+use std::process::Command;
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()
@@ -78,12 +80,79 @@ fn detect_with_log_json_and_metrics_out_produces_valid_artifacts() {
         "hdoutlier.core.index_us",
         "hdoutlier.core.search_us",
         "hdoutlier.core.postprocess_us",
+        "hdoutlier.core.brute.candidates",
+        "hdoutlier.core.brute.scored",
+        "hdoutlier.core.brute.pruned_subtrees",
+        "hdoutlier.core.brute.histogram_nodes",
     ] {
         assert!(
             names.iter().any(|n| n == expected),
             "{expected} missing from {names:?}"
         );
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Metric name → the `value` field (counters and gauges) of every line in
+/// an NDJSON snapshot.
+fn snapshot_values(snapshot: &str) -> HashMap<String, Option<f64>> {
+    snapshot
+        .lines()
+        .map(|line| {
+            let j = Json::parse(line).unwrap_or_else(|e| panic!("{e}\n{line}"));
+            let name = j.get("metric").and_then(Json::as_str).expect("metric name");
+            (name.to_string(), j.get("value").and_then(Json::as_number))
+        })
+        .collect()
+}
+
+/// The shipped binary installs the counting allocator, so its
+/// `--metrics-out` snapshot must carry the allocator totals and, on Linux,
+/// the `/proc` process vitals, both sampled at the final write, next to
+/// the brute walker's work counters.
+#[test]
+fn binary_metrics_out_carries_alloc_process_and_brute_counters() {
+    let dir = std::env::temp_dir().join(format!("hdoutlier-smoke-bin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("tiny.csv");
+    let metrics = dir.join("metrics.ndjson");
+    tiny_csv(&csv);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_hdoutlier"))
+        .args(["detect", "--phi=4", "--k=2", "--m=4", "--search=brute"])
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .arg(&csv)
+        .output()
+        .expect("spawn hdoutlier");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let values = snapshot_values(&std::fs::read_to_string(&metrics).unwrap());
+    let value = |name: &str| -> f64 {
+        values
+            .get(name)
+            .copied()
+            .flatten()
+            .unwrap_or_else(|| panic!("{name} missing from {:?}", values.keys()))
+    };
+
+    assert!(value("hdoutlier.alloc.allocations") > 0.0);
+    assert!(value("hdoutlier.alloc.bytes_peak") > 0.0);
+    if cfg!(target_os = "linux") {
+        assert!(value("hdoutlier.process.rss_bytes") > 0.0);
+        value("hdoutlier.process.cpu_user_ms");
+        value("hdoutlier.process.cpu_sys_ms");
+    }
+    // C(3, 2)·4² = 48 cubes, every one accounted for; the rest are work
+    // counters with no fixed value on this data.
+    assert_eq!(value("hdoutlier.core.brute.candidates"), 48.0);
+    assert!(value("hdoutlier.core.brute.scored") <= 48.0);
+    value("hdoutlier.core.brute.pruned_subtrees");
+    value("hdoutlier.core.brute.histogram_nodes");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

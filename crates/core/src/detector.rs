@@ -255,6 +255,21 @@ impl OutlierDetector {
             self.config.threads.max(1),
         );
         drop(search_span);
+        let registry = obs::registry();
+        for (name, total) in [
+            ("hdoutlier.core.brute.candidates", outcome.candidates),
+            ("hdoutlier.core.brute.scored", outcome.scored),
+            (
+                "hdoutlier.core.brute.pruned_subtrees",
+                outcome.pruned_subtrees,
+            ),
+            (
+                "hdoutlier.core.brute.histogram_nodes",
+                outcome.histogram_nodes,
+            ),
+        ] {
+            registry.counter(name).add(total);
+        }
         let stats = SearchStats {
             work: outcome.candidates,
             generations: 0,
@@ -262,7 +277,7 @@ impl OutlierDetector {
             elapsed: start.elapsed(),
         };
         let us = stats.elapsed.as_micros() as u64;
-        obs::registry()
+        registry
             .histogram("hdoutlier.core.search_us")
             .record(us as f64);
         obs::event(

@@ -72,6 +72,12 @@ impl Bitmap {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// The packed words, bit `i` at `words()[i / 64] >> (i % 64)`. Bits at
+    /// or past [`Bitmap::len`] are always zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

@@ -120,20 +120,35 @@ impl<T> BoundedBest<T> {
     ///
     /// NaN scores are rejected outright.
     pub fn push(&mut self, score: f64, item: T) -> bool {
+        self.push_with(score, |_| item)
+    }
+
+    /// [`BoundedBest::push`] for an item that is costly to build: `make` runs
+    /// only if the item will be retained, and receives the member it
+    /// evicts, if any, so that member's allocations can be reused.
+    pub fn push_with(&mut self, score: f64, make: impl FnOnce(Option<T>) -> T) -> bool {
         if score.is_nan() || self.capacity == 0 {
             return false;
         }
         let seq = self.heap.len() as u64;
         if self.heap.len() < self.capacity {
-            self.heap.push(Entry { score, seq, item });
+            self.heap.push(Entry {
+                score,
+                seq,
+                item: make(None),
+            });
             return true;
         }
         let worst = self.heap.peek().expect("non-empty at capacity");
         if score >= worst.score {
             return false;
         }
-        self.heap.pop();
-        self.heap.push(Entry { score, seq, item });
+        let evicted = self.heap.pop().expect("non-empty at capacity").item;
+        self.heap.push(Entry {
+            score,
+            seq,
+            item: make(Some(evicted)),
+        });
         true
     }
 
@@ -235,6 +250,25 @@ mod tests {
         assert!(b.push(1.5, "e"));
         assert_eq!(b.worst_score(), Some(1.5));
         assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn bounded_best_push_with_builds_only_kept_items_from_the_evicted() {
+        let mut b = BoundedBest::new(2);
+        assert!(b.push_with(3.0, |evicted| {
+            assert!(evicted.is_none());
+            vec![3]
+        }));
+        assert!(b.push_with(1.0, |_| vec![1]));
+        assert!(!b.push_with(3.0, |_| unreachable!("a tie is not kept")));
+        assert!(b.push_with(2.0, |evicted| {
+            let mut v = evicted.expect("full: the worst member is evicted");
+            assert_eq!(v, vec![3]);
+            v[0] = 2;
+            v
+        }));
+        let got = b.into_sorted();
+        assert_eq!(got, vec![(1.0, vec![1]), (2.0, vec![2])]);
     }
 
     #[test]
