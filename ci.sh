@@ -27,8 +27,10 @@ cargo test -q --offline -p hdoutlier-cli --test live
 
 # Determinism: every pooled path (detect brute + seeded evolutionary,
 # explain, baseline) must emit byte-identical --json reports at --threads
-# 1/2/8 (crates/cli/tests/determinism.rs); the stream --batch equivalence
-# lives in the stream command's unit tests, covered by the workspace run.
+# 1/2/8 (crates/cli/tests/determinism.rs); the --batch equivalence of the
+# shared scoring session (crates/stream/src/session.rs) is tested through
+# both drivers, in the stream command's unit tests and in
+# crates/serve/tests/serve.rs, covered by the workspace run.
 cargo test -q --offline -p hdoutlier-cli --test determinism
 
 # Fault tolerance: checkpoint atomicity under simulated kills

@@ -7,17 +7,25 @@
 //! circuit breaker, and atomic checkpoint/resume of the scorer state
 //! (`--checkpoint`/`--resume`) so a crash or redeploy does not silently
 //! reset the drift statistics or the record index.
+//!
+//! All of that lives in the shared [`ScoringSession`] core, which each
+//! `hdoutlier serve` session drives as well. This command parses flags,
+//! loads the model, reads stdin line by line (header, blank lines and read
+//! failures), parses CSV rows, writes each verdict line to stdout with a
+//! flush, and maps how the session stopped to an exit code.
 
 use super::parse_or_usage;
 use crate::args::Parsed;
 use crate::exit;
 use crate::model_io;
 use crate::obs_setup::{self, ObsSession};
-use hdoutlier_obs as obs;
-use hdoutlier_stream::ndjson::{error_json, verdict_json};
-use hdoutlier_stream::{Checkpoint, OnlineScorer};
+use hdoutlier_stream::session::{
+    ErrorPolicy, LineSink, OpenError, ScoringSession, SessionOptions, Stop,
+};
+use hdoutlier_stream::{OnlineScorer, RecoveredFrom};
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Per-command help.
 pub const HELP: &str = "\
@@ -72,9 +80,6 @@ OPTIONS:
     --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
                          while the stream runs (e.g. 127.0.0.1:9184)
 ";
-
-/// Event target for the streaming command.
-const TARGET: &str = "hdoutlier.stream";
 
 /// Runs the subcommand against real stdin, writing each verdict to stdout
 /// as soon as it is computed (flushed per record, so `tail -f | hdoutlier
@@ -139,407 +144,154 @@ pub fn run_streaming(argv: &[String], input: impl BufRead, sink: &mut impl Write
     }
 }
 
-/// What to do with a record that cannot be parsed or scored.
-enum ErrorPolicy {
-    /// Stop the stream with a runtime error (the default).
-    Abort,
-    /// Emit an NDJSON error verdict and keep scoring.
-    Skip,
-    /// Like skip, and also append the raw line to the file at this path.
-    Quarantine(String),
-}
-
-impl ErrorPolicy {
-    fn action(&self) -> &'static str {
-        match self {
-            ErrorPolicy::Abort => "abort",
-            ErrorPolicy::Skip => "skip",
-            ErrorPolicy::Quarantine(_) => "quarantine",
-        }
-    }
-}
-
-/// The post-session-init half of the command: flag validation, model load,
-/// resume, and the scoring loop.
+/// The post-session-init half of the command: the scoring loop over the
+/// session [`open_session`] builds, then the final checkpoint.
 fn stream_under_session(
     parsed: &Parsed,
     input: impl BufRead,
     sink: &mut impl Write,
 ) -> (i32, String) {
-    if let Some(path) = parsed.positional().first() {
-        return (
-            exit::USAGE,
-            format!("unexpected argument {path:?}: records are read from stdin\n\n{HELP}"),
-        );
-    }
-    let Some(model_path) = parsed.get("model") else {
-        return (exit::USAGE, format!("--model is required\n\n{HELP}"));
+    let (mut session, delimiter) = match open_session(parsed) {
+        Ok(opened) => opened,
+        Err(out) => return out,
     };
+    let header = !parsed.has("no-header");
+    match score_input(&mut session, input, delimiter, header, &mut FlushEach(sink)) {
+        // A consumer hang-up is a normal stop: the records scored so far
+        // still land in the final checkpoint.
+        Ok(()) | Err(Stop::HungUp) => {}
+        Err(Stop::Tripped(trip)) => {
+            return (
+                exit::RUNTIME,
+                trip.describe("--max-consecutive-errors", "aborting"),
+            )
+        }
+        Err(Stop::Failed(e)) => return (exit::RUNTIME, e),
+    }
+    // A final checkpoint at EOF (or consumer hang-up) so a clean restart
+    // resumes from the last record, not the last cadence boundary.
+    match session.save_checkpoint() {
+        Ok(_) => (exit::OK, String::new()),
+        Err(e) => (exit::RUNTIME, e),
+    }
+}
+
+/// Flag validation, model load and resume: the ready session and the CSV
+/// delimiter, or the exit code and message to stop with.
+fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)> {
+    let usage = |msg: String| (exit::USAGE, format!("{msg}\n\n{HELP}"));
+    let runtime = |msg: String| (exit::RUNTIME, msg);
+    if let Some(path) = parsed.positional().first() {
+        return Err(usage(format!(
+            "unexpected argument {path:?}: records are read from stdin"
+        )));
+    }
+    let model_path = parsed
+        .get("model")
+        .ok_or_else(|| usage("--model is required".into()))?;
     let delimiter = match parsed.get("delimiter") {
         None => ',',
         Some(d) if d.chars().count() == 1 => d.chars().next().expect("one char"),
         Some(d) => {
-            return (
-                exit::USAGE,
-                format!("--delimiter must be a single character, got {d:?}\n\n{HELP}"),
-            )
+            return Err(usage(format!(
+                "--delimiter must be a single character, got {d:?}"
+            )))
         }
     };
-    let policy = match parsed.get("on-error") {
-        None | Some("abort") => ErrorPolicy::Abort,
-        Some("skip") => ErrorPolicy::Skip,
-        Some(spec) => match spec.strip_prefix("quarantine:") {
-            Some(path) if !path.is_empty() => ErrorPolicy::Quarantine(path.to_string()),
-            _ => {
-                return (
-                    exit::USAGE,
-                    format!(
-                        "--on-error must be abort|skip|quarantine:<path>, got {spec:?}\n\n{HELP}"
-                    ),
-                )
-            }
-        },
-    };
-    let batch: usize = match parsed.or("batch", "integer", 1) {
-        Ok(0) => return (exit::USAGE, format!("--batch must be >= 1\n\n{HELP}")),
-        Ok(b) => b,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let threads: usize = match parsed.or("threads", "integer", hdoutlier_pool::default_threads()) {
-        Ok(0) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Ok(t) => t,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let max_consecutive: u64 = match parsed.opt::<u64>("max-consecutive-errors", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--max-consecutive-errors must be positive\n\n{HELP}"),
-            )
-        }
-        Ok(Some(n)) => n,
-        Ok(None) => 100,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let checkpoint_path: Option<PathBuf> = parsed.get("checkpoint").map(PathBuf::from);
-    let checkpoint_every: u64 = match parsed.opt::<u64>("checkpoint-every", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--checkpoint-every must be positive\n\n{HELP}"),
-            )
-        }
-        Ok(Some(n)) if checkpoint_path.is_none() => {
-            let _ = n;
-            return (
-                exit::USAGE,
-                format!("--checkpoint-every requires --checkpoint <path>\n\n{HELP}"),
-            );
-        }
-        Ok(Some(n)) => n,
-        Ok(None) => 1000,
-        Err(e) => return super::usage_err(e, HELP),
-    };
+    let policy = ErrorPolicy::parse(parsed.get("on-error").unwrap_or("abort"))
+        .map_err(|e| usage(format!("--on-error {e}")))?;
+    let batch = nonzero(parsed, "batch", 1, "must be >= 1")?;
+    let threads = hdoutlier_pool::default_threads();
+    let threads = nonzero(parsed, "threads", threads, "must be >= 1")?;
+    let max_consecutive = nonzero(parsed, "max-consecutive-errors", 100, "must be positive")?;
+    let checkpoint_every = nonzero(parsed, "checkpoint-every", 1000, "must be positive")?;
+    let checkpoint = parsed.get("checkpoint").map(PathBuf::from);
+    if checkpoint.is_none() && parsed.get("checkpoint-every").is_some() {
+        return Err(usage(
+            "--checkpoint-every requires --checkpoint <path>".into(),
+        ));
+    }
 
-    let text = match std::fs::read_to_string(model_path) {
-        Ok(t) => t,
-        Err(e) => return (exit::RUNTIME, format!("failed to read {model_path}: {e}")),
+    let text = std::fs::read_to_string(model_path)
+        .map_err(|e| runtime(format!("failed to read {model_path}: {e}")))?;
+    let model = model_io::from_json_text(&text)
+        .map_err(|e| runtime(format!("failed to load model: {e}")))?;
+    let scorer = OnlineScorer::new(model)
+        .map_err(|e| runtime(format!("model unusable for streaming: {e}")))?;
+    let options = SessionOptions {
+        batch,
+        threads,
+        outliers_only: parsed.has("outliers-only"),
+        policy,
+        max_consecutive,
+        checkpoint,
+        checkpoint_every,
+        drift_alpha: parsed
+            .opt("drift-alpha", "number")
+            .map_err(|e| super::usage_err(e, HELP))?,
+        drift_every: parsed
+            .opt("drift-every", "integer")
+            .map_err(|e| super::usage_err(e, HELP))?,
     };
-    let model = match model_io::from_json_text(&text) {
-        Ok(m) => m,
-        Err(e) => return (exit::RUNTIME, format!("failed to load model: {e}")),
-    };
-    let mut scorer = match OnlineScorer::new(model) {
-        Ok(s) => s,
-        Err(e) => return (exit::RUNTIME, format!("model unusable for streaming: {e}")),
-    };
-
     // Resume first, then explicit drift flags: a flag given on the resumed
     // invocation deliberately overrides the checkpointed cadence/alpha.
-    let mut skipped_total = 0u64;
-    let mut quarantined_total = 0u64;
-    if let Some(path) = parsed.get("resume") {
-        let (cp, recovered) = match Checkpoint::load_with_recovery(std::path::Path::new(path)) {
-            Ok(loaded) => loaded,
-            Err(e) => return (exit::RUNTIME, format!("cannot resume from {path}: {e}")),
-        };
-        if let hdoutlier_stream::RecoveredFrom::Previous { quarantined } = &recovered {
-            // The primary was corrupt or missing; say so loudly — the
-            // resumed run is one checkpoint generation behind.
-            match quarantined {
-                Some(corrupt) => eprintln!(
-                    "stream: checkpoint {path} was unreadable (quarantined to {}); \
-                     resumed from its .prev generation",
-                    corrupt.display()
-                ),
-                None => eprintln!(
-                    "stream: checkpoint {path} was missing; resumed from its .prev generation"
-                ),
-            }
-            obs::event(
-                obs::Level::Warn,
-                TARGET,
-                "checkpoint_recovered",
-                &[
-                    ("from", obs::Value::Str("prev")),
-                    ("quarantined", obs::Value::Bool(quarantined.is_some())),
-                ],
-            );
+    let resume = parsed.get("resume");
+    let (session, recovered) = ScoringSession::open(scorer, options, resume.map(Path::new))
+        .map_err(|e| match e {
+            OpenError::Drift(_) => usage(e.to_string()),
+            _ => runtime(e.to_string()),
+        })?;
+    if let (Some(path), Some(RecoveredFrom::Previous { quarantined })) = (resume, recovered) {
+        // The primary was corrupt or missing; say so loudly — the resumed
+        // run is one checkpoint generation behind.
+        match quarantined {
+            Some(corrupt) => eprintln!(
+                "stream: checkpoint {path} was unreadable (quarantined to {}); \
+                 resumed from its .prev generation",
+                corrupt.display()
+            ),
+            None => eprintln!(
+                "stream: checkpoint {path} was missing; resumed from its .prev generation"
+            ),
         }
-        if let Err(e) = cp.restore(&mut scorer) {
-            return (exit::RUNTIME, format!("cannot resume from {path}: {e}"));
-        }
-        skipped_total = cp.skipped;
-        quarantined_total = cp.quarantined;
-        obs::event(
-            obs::Level::Info,
-            TARGET,
-            "resumed",
-            &[
-                ("record", obs::Value::U64(cp.records_scored)),
-                ("skipped", obs::Value::U64(cp.skipped)),
-                ("quarantined", obs::Value::U64(cp.quarantined)),
-            ],
-        );
     }
-    match parsed.opt::<f64>("drift-alpha", "number") {
-        Ok(Some(alpha)) => {
-            if let Err(e) = scorer.set_drift_alpha(alpha) {
-                return (exit::USAGE, format!("{e}\n\n{HELP}"));
-            }
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+    Ok((session, delimiter))
+}
+
+/// An integer flag that must not be 0 (`zero` is the complaint when it
+/// is), `default` when absent.
+fn nonzero<T: FromStr + Default + PartialEq>(
+    parsed: &Parsed,
+    flag: &str,
+    default: T,
+    zero: &str,
+) -> Result<T, (i32, String)> {
+    match parsed.or(flag, "integer", default) {
+        Ok(n) if n == T::default() => Err((exit::USAGE, format!("--{flag} {zero}\n\n{HELP}"))),
+        Ok(n) => Ok(n),
+        Err(e) => Err(super::usage_err(e, HELP)),
     }
-    match parsed.opt::<u64>("drift-every", "integer") {
-        Ok(Some(every)) => {
-            if let Err(e) = scorer.set_check_every(every) {
-                return (exit::USAGE, format!("{e}\n\n{HELP}"));
-            }
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
+}
 
-    // The quarantine file opens up front so a bad path fails fast, before
-    // any record is consumed, and appends so restarts accumulate.
-    let mut quarantine_file = match &policy {
-        ErrorPolicy::Quarantine(path) => match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(f) => Some(f),
-            Err(e) => {
-                return (
-                    exit::RUNTIME,
-                    format!("cannot open quarantine file {path}: {e}"),
-                )
-            }
-        },
-        _ => None,
-    };
-
-    let registry = obs::registry();
-    let skipped_ctr = registry.counter("hdoutlier.stream.skipped");
-    let quarantined_ctr = registry.counter("hdoutlier.stream.quarantined");
-    let checkpoints_ctr = registry.counter("hdoutlier.stream.checkpoints");
-
-    let n_dims = scorer.model().grid().n_dims();
+/// Feeds every stdin line to the session: counts each line, skips blank
+/// lines and the header, parses the rest as CSV rows, and flushes the last
+/// partial batch at EOF.
+fn score_input(
+    session: &mut ScoringSession,
+    input: impl BufRead,
+    delimiter: char,
+    mut skip_header: bool,
+    sink: &mut impl LineSink,
+) -> Result<(), Stop> {
+    let n_dims = session.scorer().model().grid().n_dims();
     let missing = hdoutlier_data::csv::CsvOptions::default().missing_markers;
-    let outliers_only = parsed.has("outliers-only");
-    let mut skip_header = !parsed.has("no-header");
-    let mut line_no = 0usize;
-    let mut consecutive_errors = 0u64;
-
-    // One closure owns the skip/quarantine/abort decision so the three
-    // failure points (read, parse, score) behave identically.
-    macro_rules! bad_record {
-        ($reason:expr, $raw:expr) => {{
-            let reason: String = $reason;
-            let raw: Option<&str> = $raw;
-            consecutive_errors += 1;
-            if matches!(policy, ErrorPolicy::Abort) {
-                return (exit::RUNTIME, format!("line {line_no}: {reason}"));
-            }
-            if consecutive_errors > max_consecutive {
-                return (
-                    exit::RUNTIME,
-                    format!(
-                        "line {line_no}: {reason} ({consecutive_errors} consecutive bad \
-                         records exceed --max-consecutive-errors {max_consecutive}; aborting)"
-                    ),
-                );
-            }
-            obs::event(
-                obs::Level::Warn,
-                TARGET,
-                "record_error",
-                &[
-                    ("line", obs::Value::U64(line_no as u64)),
-                    ("action", obs::Value::Str(policy.action())),
-                ],
-            );
-            if let ErrorPolicy::Quarantine(path) = &policy {
-                if let Some(raw) = raw {
-                    let file = quarantine_file.as_mut().expect("opened above");
-                    if let Err(e) = writeln!(file, "{raw}") {
-                        return (
-                            exit::RUNTIME,
-                            format!("failed to quarantine line {line_no} to {path}: {e}"),
-                        );
-                    }
-                }
-                quarantined_ctr.inc();
-                quarantined_total += 1;
-            } else {
-                skipped_ctr.inc();
-                skipped_total += 1;
-            }
-            let verdict = match error_json(line_no, &reason, policy.action()) {
-                Ok(j) => j.render(),
-                Err(e) => return (exit::RUNTIME, format!("line {line_no}: {e}")),
-            };
-            match emit_line(sink, &verdict) {
-                Ok(true) => continue,
-                Ok(false) => break, // consumer hung up
-                Err(e) => return (exit::RUNTIME, e),
-            }
-        }};
-    }
-
-    // Parsed records waiting for a pooled `score_batch` call (only ever
-    // non-empty under `--batch <n>` with n > 1).
-    let mut pending: Vec<(usize, String, Vec<f64>)> = Vec::with_capacity(batch);
-
-    // Scores everything buffered in `pending` with one pooled call, then
-    // emits the verdicts in arrival order. Evaluates to `true` when the
-    // consumer hung up mid-emission. Must run before any error verdict or
-    // shutdown so output order matches the record-at-a-time path exactly.
-    macro_rules! flush_batch {
-        () => {{
-            let mut hung_up = false;
-            if !pending.is_empty() {
-                let rows: Vec<Vec<f64>> = pending.iter().map(|(_, _, r)| r.clone()).collect();
-                let results = {
-                    let _span = obs::span(obs::Level::Trace, "hdoutlier.cli", "score_batch");
-                    scorer.score_batch(&rows, threads)
-                };
-                for ((b_line, raw, _), result) in pending.drain(..).zip(results) {
-                    match result {
-                        Ok(verdict) => {
-                            consecutive_errors = 0;
-                            if !(outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-                                let rendered = match verdict_json(&verdict, &scorer) {
-                                    Ok(j) => j.render(),
-                                    Err(e) => {
-                                        return (exit::RUNTIME, format!("line {b_line}: {e}"))
-                                    }
-                                };
-                                match emit_line(sink, &rendered) {
-                                    Ok(true) => {}
-                                    Ok(false) => {
-                                        hung_up = true;
-                                        break; // consumer hung up
-                                    }
-                                    Err(e) => return (exit::RUNTIME, e),
-                                }
-                            }
-                            if let Some(path) = &checkpoint_path {
-                                if scorer.records_scored() % checkpoint_every == 0 {
-                                    let cp = Checkpoint::capture(
-                                        &scorer,
-                                        skipped_total,
-                                        quarantined_total,
-                                    );
-                                    if let Err(e) = cp.save_atomic(path) {
-                                        return (
-                                            exit::RUNTIME,
-                                            format!(
-                                                "failed to checkpoint to {}: {e}",
-                                                path.display()
-                                            ),
-                                        );
-                                    }
-                                    checkpoints_ctr.inc();
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Same policy ladder as `bad_record!`, but scoped
-                            // to the buffered line and without the outer-loop
-                            // `continue` (the batch keeps draining).
-                            let reason = e.to_string();
-                            consecutive_errors += 1;
-                            if matches!(policy, ErrorPolicy::Abort) {
-                                return (exit::RUNTIME, format!("line {b_line}: {reason}"));
-                            }
-                            if consecutive_errors > max_consecutive {
-                                return (
-                                    exit::RUNTIME,
-                                    format!(
-                                        "line {b_line}: {reason} ({consecutive_errors} \
-                                         consecutive bad records exceed \
-                                         --max-consecutive-errors {max_consecutive}; aborting)"
-                                    ),
-                                );
-                            }
-                            obs::event(
-                                obs::Level::Warn,
-                                TARGET,
-                                "record_error",
-                                &[
-                                    ("line", obs::Value::U64(b_line as u64)),
-                                    ("action", obs::Value::Str(policy.action())),
-                                ],
-                            );
-                            if let ErrorPolicy::Quarantine(path) = &policy {
-                                let file = quarantine_file.as_mut().expect("opened above");
-                                if let Err(e) = writeln!(file, "{raw}") {
-                                    return (
-                                        exit::RUNTIME,
-                                        format!(
-                                            "failed to quarantine line {b_line} to {path}: {e}"
-                                        ),
-                                    );
-                                }
-                                quarantined_ctr.inc();
-                                quarantined_total += 1;
-                            } else {
-                                skipped_ctr.inc();
-                                skipped_total += 1;
-                            }
-                            let verdict = match error_json(b_line, &reason, policy.action()) {
-                                Ok(j) => j.render(),
-                                Err(e) => return (exit::RUNTIME, format!("line {b_line}: {e}")),
-                            };
-                            match emit_line(sink, &verdict) {
-                                Ok(true) => {}
-                                Ok(false) => {
-                                    hung_up = true;
-                                    break;
-                                }
-                                Err(e) => return (exit::RUNTIME, e),
-                            }
-                        }
-                    }
-                }
-            }
-            hung_up
-        }};
-    }
-
-    let mut lines = input.lines();
-    loop {
-        line_no += 1;
-        let line = match lines.next() {
-            None => break,
-            Some(Ok(l)) => l,
-            Some(Err(e)) => {
-                if flush_batch!() {
-                    break;
-                }
-                bad_record!(format!("stdin read failed: {e}"), None)
+    for line in input.lines() {
+        session.next_line();
+        let line = match line {
+            Ok(l) => l,
+            Err(e) => {
+                session.reject(format!("stdin read failed: {e}"), None, sink)?;
+                continue;
             }
         };
         if line.trim().is_empty() {
@@ -549,82 +301,24 @@ fn stream_under_session(
             skip_header = false;
             continue;
         }
-        let row = match parse_row(&line, delimiter, &missing, n_dims) {
-            Ok(r) => r,
-            Err(msg) => {
-                // Drain buffered records first so the error verdict lands at
-                // its arrival position in the output.
-                if flush_batch!() {
-                    break;
-                }
-                bad_record!(msg, Some(&line))
-            }
-        };
-        if batch > 1 {
-            pending.push((line_no, line, row));
-            if pending.len() >= batch && flush_batch!() {
-                break;
-            }
-            continue;
-        }
-        let verdict = {
-            let _span = obs::span(obs::Level::Trace, "hdoutlier.cli", "score_record");
-            match scorer.score_record(&row) {
-                Ok(v) => v,
-                Err(e) => bad_record!(e.to_string(), Some(&line)),
-            }
-        };
-        consecutive_errors = 0;
-        if !(outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-            let rendered = match verdict_json(&verdict, &scorer) {
-                Ok(j) => j.render(),
-                Err(e) => return (exit::RUNTIME, format!("line {line_no}: {e}")),
-            };
-            match emit_line(sink, &rendered) {
-                Ok(true) => {}
-                Ok(false) => break, // consumer hung up
-                Err(e) => return (exit::RUNTIME, e),
-            }
-        }
-        if let Some(path) = &checkpoint_path {
-            if scorer.records_scored() % checkpoint_every == 0 {
-                let cp = Checkpoint::capture(&scorer, skipped_total, quarantined_total);
-                if let Err(e) = cp.save_atomic(path) {
-                    return (
-                        exit::RUNTIME,
-                        format!("failed to checkpoint to {}: {e}", path.display()),
-                    );
-                }
-                checkpoints_ctr.inc();
-            }
-        }
+        let row = parse_row(&line, delimiter, &missing, n_dims);
+        session.feed(&line, row, sink)?;
     }
-    // Score any partial batch left at EOF (or hang-up: the verdicts go
-    // nowhere, but the records were accepted and belong in the checkpoint).
-    let _ = flush_batch!();
-    // A final checkpoint at EOF (or consumer hang-up) so a clean restart
-    // resumes from the last record, not the last cadence boundary.
-    if let Some(path) = &checkpoint_path {
-        let cp = Checkpoint::capture(&scorer, skipped_total, quarantined_total);
-        if let Err(e) = cp.save_atomic(path) {
-            return (
-                exit::RUNTIME,
-                format!("failed to checkpoint to {}: {e}", path.display()),
-            );
-        }
-        checkpoints_ctr.inc();
-    }
-    (exit::OK, String::new())
+    session.flush(sink)
 }
 
-/// Writes one NDJSON line, flushed immediately. `Ok(false)` means the
-/// consumer closed the pipe (`| head`) — a normal way to stop, not an
-/// error.
-fn emit_line(sink: &mut impl Write, rendered: &str) -> Result<bool, String> {
-    match writeln!(sink, "{rendered}").and_then(|()| sink.flush()) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(format!("stdout write failed: {e}")),
+/// The stdout sink: each line is written and flushed at once, so
+/// `tail -f | hdoutlier stream` sees verdicts as they are computed. A
+/// closed pipe (`| head`) is a hang-up, not an error.
+struct FlushEach<'a, W>(&'a mut W);
+
+impl<W: Write> LineSink for FlushEach<'_, W> {
+    fn emit(&mut self, line: &str) -> Result<(), Stop> {
+        match writeln!(self.0, "{line}").and_then(|()| self.0.flush()) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(Stop::HungUp),
+            Err(e) => Err(Stop::Failed(format!("stdout write failed: {e}"))),
+        }
     }
 }
 

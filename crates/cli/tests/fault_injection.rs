@@ -6,7 +6,7 @@
 use hdoutlier_cli::commands::stream;
 use hdoutlier_cli::exit;
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
-use hdoutlier_stream::checkpoint::staging_path;
+use hdoutlier_stream::checkpoint::{prev_path, staging_path};
 use hdoutlier_stream::Checkpoint;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -405,4 +405,41 @@ fn stale_staging_file_from_a_killed_run_is_harmless() {
     assert_eq!(code, exit::OK, "{out}");
     assert!(!staging_path(&ckpt).exists());
     assert_eq!(Checkpoint::load(&ckpt).unwrap().records_scored, 30);
+}
+
+/// Under `--batch` a cadence checkpoint lands once after each batch that
+/// crosses a multiple of `--checkpoint-every`, so the generation before the
+/// final EOF save is the last batch boundary past the last multiple.
+#[test]
+fn batched_cadence_checkpoints_once_per_crossed_multiple() {
+    let (model, lines) = train("batched-cadence", 70);
+    let input: String = lines
+        .iter()
+        .cycle()
+        .take(980)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let ckpt = temp_dir().join("batched-cadence.ckpt.json");
+    for (batch, prev_records) in [("64", 960), ("1", 900)] {
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(prev_path(&ckpt));
+        let (code, out) = stream::run_with_input(
+            &stream_args(
+                &model,
+                &[
+                    "--batch",
+                    batch,
+                    "--checkpoint",
+                    ckpt.to_str().unwrap(),
+                    "--checkpoint-every",
+                    "100",
+                ],
+            ),
+            input.as_bytes(),
+        );
+        assert_eq!(code, exit::OK, "{out}");
+        assert_eq!(Checkpoint::load(&ckpt).unwrap().records_scored, 980);
+        let prev = Checkpoint::load(&prev_path(&ckpt)).unwrap();
+        assert_eq!(prev.records_scored, prev_records, "--batch {batch}");
+    }
 }

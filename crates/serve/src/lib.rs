@@ -1,8 +1,10 @@
 #![warn(missing_docs)]
 
 //! `hdoutlier serve` — a long-running network scoring server hosting many
-//! concurrent sessions, each the serve-side twin of one `hdoutlier stream`
-//! process.
+//! concurrent sessions. Each session drives the same scoring core as one
+//! `hdoutlier stream` process ([`hdoutlier_stream::session`]), so its
+//! policy ladder, batches, checkpoint cadence and resume are that code,
+//! not a copy of it.
 //!
 //! The HTTP surface (over [`hdoutlier_net`]):
 //!
@@ -11,9 +13,8 @@
 //!   cadence, `resume`); responds `201` with the session status document;
 //! - `POST /sessions/{id}/score` — NDJSON records in (one JSON array per
 //!   line, `null` = missing), NDJSON verdicts out, byte-identical to
-//!   `hdoutlier stream` over the same records because both transports call
-//!   the renderers in [`hdoutlier_stream::ndjson`] and the same
-//!   order-preserving `score_batch` discipline;
+//!   `hdoutlier stream` over the same records because both transports
+//!   drive the same session core;
 //! - `GET /sessions` / `GET /sessions/{id}` — status documents;
 //! - `POST /sessions/{id}/checkpoint` — force an atomic checkpoint now;
 //! - `DELETE /sessions/{id}` — final checkpoint, then remove;
@@ -504,6 +505,7 @@ impl ServeApp {
         let session = match Session::create(
             config,
             self.config.checkpoint_dir.as_deref(),
+            self.config.threads,
             self.config.replay_cache,
         ) {
             Ok(s) => s,
@@ -691,7 +693,7 @@ impl ServeApp {
         if let Some(reason) = session.tripped() {
             return error_response(409, &format!("session tripped: {reason}"));
         }
-        let outcome = session.score_lines(body, self.config.threads);
+        let outcome = session.score_lines(body);
         activity.records = outcome.records;
         activity.outliers = outcome.outliers;
         activity.errors = outcome.errors;

@@ -692,3 +692,96 @@ fn replay_cache_evicts_fifo_at_the_capacity_boundary() {
         &expected[expected.len() - rescored.body.len()..]
     );
 }
+
+#[test]
+fn batched_cadence_checkpoints_once_per_crossed_multiple() {
+    let (model, ds) = fitted(109);
+    let dir = temp_dir("batched-cadence");
+    let app = ServeApp::new(ServeConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    });
+    let created = app.handle(&req(
+        "POST",
+        "/sessions",
+        create_body(
+            &model,
+            "\"id\": \"b\", \"batch\": 7, \"checkpoint_every\": 10",
+        ),
+    ));
+    assert_eq!(created.status, 201, "{}", body_text(&created));
+    let response = app.handle(&req("POST", "/sessions/b/score", ndjson_rows(&ds, 0..95)));
+    assert_eq!(response.status, 200, "{}", body_text(&response));
+    // Batches end at 7, 14, ..., 91, then 95. The last batch to cross a
+    // multiple of 10 is 84..91, so the newest cadence save holds 91; the
+    // partial batch 91..95 crosses none, and a score POST writes no final
+    // checkpoint.
+    let checkpoint = Checkpoint::load(&dir.join("b.ckpt.json")).unwrap();
+    assert_eq!(checkpoint.records_scored, 91);
+}
+
+#[test]
+fn quarantine_files_request_envelopes_in_arrival_order() {
+    let (model, ds) = fitted(113);
+    let dir = temp_dir("quarantine-envelope");
+    let quarantine = dir.join("bad.ndjson");
+    let app = ServeApp::new(ServeConfig::default());
+    let created = app.handle(&req(
+        "POST",
+        "/sessions",
+        create_body(
+            &model,
+            &format!(
+                "\"id\": \"q\", \"batch\": 4, \"on_error\": \"quarantine:{}\"",
+                quarantine.display()
+            ),
+        ),
+    ));
+    assert_eq!(created.status, 201, "{}", body_text(&created));
+
+    let mut body = ndjson_rows(&ds, 0..3);
+    body.push_str("not json\n");
+    body.push_str(&ndjson_rows(&ds, 3..5));
+    body.push_str("[1, 2]\n");
+    let response = app.handle(&req_with_id("POST", "/sessions/q/score", "client-7", body));
+    assert_eq!(response.status, 200, "{}", body_text(&response));
+    let lines: Vec<&str> = body_text(&response).lines().collect();
+    assert_eq!(lines.len(), 7);
+    assert!(
+        lines[3].contains("\"action\":\"quarantine\""),
+        "{}",
+        lines[3]
+    );
+
+    let filed = std::fs::read_to_string(&quarantine).unwrap();
+    let entries: Vec<Json> = filed.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(entries.len(), 2, "{filed}");
+    for (entry, (line, raw)) in entries.iter().zip([(4.0, "not json"), (7.0, "[1, 2]")]) {
+        assert_eq!(entry.get("request_id").unwrap().as_str(), Some("client-7"));
+        assert_eq!(entry.get("session_id").unwrap().as_str(), Some("q"));
+        assert_eq!(entry.get("line").unwrap().as_number(), Some(line));
+        assert_eq!(entry.get("raw").unwrap().as_str(), Some(raw));
+    }
+    let status = body_json(&app.handle(&req("GET", "/sessions/q", "")));
+    assert_eq!(status.get("quarantined").unwrap().as_number(), Some(2.0));
+
+    // A quarantine file that cannot be opened fails the create, before any
+    // record is taken.
+    let unopenable = dir.join("no-such-dir").join("bad.ndjson");
+    let refused = app.handle(&req(
+        "POST",
+        "/sessions",
+        create_body(
+            &model,
+            &format!(
+                "\"id\": \"q2\", \"on_error\": \"quarantine:{}\"",
+                unopenable.display()
+            ),
+        ),
+    ));
+    assert_eq!(refused.status, 500, "{}", body_text(&refused));
+    let message = body_json(&refused);
+    let message = message.get("error").unwrap().as_str().unwrap();
+    assert!(message.contains("cannot open quarantine file"), "{message}");
+    assert_eq!(app.handle(&req("GET", "/sessions/q2", "")).status, 404);
+}

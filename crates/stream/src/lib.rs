@@ -38,6 +38,7 @@ pub mod drift;
 pub mod model_io;
 pub mod ndjson;
 pub mod scorer;
+pub mod session;
 pub mod sketch;
 pub mod window;
 
@@ -45,5 +46,6 @@ pub use checkpoint::{Checkpoint, CheckpointError, RecoveredFrom};
 pub use drift::{DriftMonitor, DriftReport};
 pub use model_io::ModelIoError;
 pub use scorer::{OnlineScorer, Verdict};
+pub use session::{ErrorPolicy, LineSink, ScoringSession, SessionOptions, Stop};
 pub use sketch::{GkSketch, StreamingDiscretizer};
 pub use window::WindowCounter;
