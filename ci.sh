@@ -15,9 +15,16 @@ cargo test -q --offline --workspace
 
 # Observability: unit tests for the in-tree tracing/metrics crate, then an
 # end-to-end smoke run of `detect --log-json --metrics-out` validated with
-# the in-tree JSON parser (crates/cli/tests/smoke.rs).
+# the in-tree JSON parser, and the telemetry-on-error test: each of the
+# eight subcommands, failing after its telemetry opened, must still leave a
+# parseable --metrics-out snapshot and --trace-out file
+# (crates/cli/tests/smoke.rs). Then the CLI property suite: the argument
+# parser and JSON writer never panic, and the dispatcher returns exit
+# 0/1/2 with output on seeded argument vectors over every subcommand
+# (crates/cli/tests/proptests.rs).
 cargo test -q --offline -p hdoutlier-obs
 cargo test -q --offline -p hdoutlier-cli --test smoke
+cargo test -q --offline -p hdoutlier-cli --test proptests
 
 # Live telemetry: launch `stream --serve-metrics` on an ephemeral port,
 # scrape /metrics over raw TCP (std-only client), assert the records

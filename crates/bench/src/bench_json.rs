@@ -7,11 +7,11 @@
 //! history. The schema is versioned (`hdoutlier-bench/1`) and the key
 //! order is fixed, so trajectory diffs across PRs stay line-stable.
 //!
-//! The renderer is hand-rolled std-only JSON: the workspace is hermetic
-//! and the value space is tame (identifiers, counts, seconds), so the only
-//! escaping that matters is on the git strings, which pass through
-//! [`escape`] anyway.
+//! The renderer is hand-rolled JSON with fixed spacing; every string in it
+//! (the git strings included) goes through the workspace's one escaper,
+//! [`hdoutlier_json::write_string`].
 
+use hdoutlier_json::write_string;
 use std::fmt::Write as _;
 use std::process::Command;
 
@@ -101,18 +101,23 @@ impl BenchReport {
             .unwrap_or(0);
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"schema\": \"hdoutlier-bench/1\",\n");
-        let _ = writeln!(out, "  \"bench\": \"{}\",", escape(&self.bench));
+        out.push_str("  \"bench\": ");
+        write_string(&mut out, &self.bench);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"created_unix_s\": {created},");
         out.push_str("  \"git\": {");
-        let _ = write!(out, "\"describe\": {}, ", quote_opt(&describe));
-        let _ = write!(out, "\"commit\": {}", quote_opt(&commit));
+        out.push_str("\"describe\": ");
+        write_opt(&mut out, &describe);
+        out.push_str(", \"commit\": ");
+        write_opt(&mut out, &commit);
         out.push_str("},\n");
         out.push_str("  \"config\": {");
         for (i, (k, v)) in self.config.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {}", escape(k), num(*v));
+            write_string(&mut out, k);
+            let _ = write!(out, ": {}", num(*v));
         }
         out.push_str("},\n");
         out.push_str("  \"stages\": [\n");
@@ -127,11 +132,12 @@ impl BenchReport {
             } else {
                 0.0
             };
+            out.push_str("    {\"name\": ");
+            write_string(&mut out, &s.name);
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"records\": {}, \"elapsed_s\": {}, \
+                ", \"records\": {}, \"elapsed_s\": {}, \
                  \"records_per_sec\": {}, \"us_per_record\": {}}}",
-                escape(&s.name),
                 s.records,
                 num(s.elapsed_s),
                 num(per_sec),
@@ -155,7 +161,8 @@ impl BenchReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {}", escape(name), percentiles(p));
+            write_string(&mut out, name);
+            let _ = write!(out, ": {}", percentiles(p));
         }
         out.push_str("}\n}\n");
         out
@@ -191,27 +198,12 @@ fn num(v: f64) -> String {
     }
 }
 
-fn quote_opt(v: &Option<String>) -> String {
+/// A JSON string, or `null` for `None`.
+fn write_opt(out: &mut String, v: &Option<String>) {
     match v {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".to_string(),
+        Some(s) => write_string(out, s),
+        None => out.push_str("null"),
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `git describe --always --dirty` and the full commit hash, when the bench

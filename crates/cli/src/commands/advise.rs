@@ -1,14 +1,15 @@
 //! `hdoutlier advise` — the §2.4 parameter advisor.
 
-use super::parse_or_usage;
-use crate::exit;
-use crate::json::{FieldChain, Json};
-use crate::obs_setup::{self, ObsSession};
+use super::{emit_report, load_dataset, CliError, Command};
+use crate::args::Parsed;
 use hdoutlier_core::params::advise;
+use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_stats::{significance_of, sparsity_coefficient};
+use std::io::Write;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier advise — recommend phi and k for a dataset size (paper §2.4)
 
 USAGE:
@@ -19,45 +20,21 @@ OPTIONS:
     --records <N>   number of records (alternative to passing a CSV)
     --target <s>    target sparsity coefficient (default -3)
     --json          emit JSON
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics and write an NDJSON snapshot to <p>
-    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p>
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-";
+",
+    values: &["records", "target", "delimiter", "label-column"],
+    bools: &["json", "no-header"],
+};
 
-/// Runs the subcommand.
-pub fn run(argv: &[String]) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &["records", "target", "delimiter", "label-column"],
-        &["json", "no-header"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    let target: f64 = match parsed.or("target", "number", -3.0) {
-        Ok(t) => t,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let n: u64 = match parsed.opt::<u64>("records", "integer") {
-        Err(e) => return super::usage_err(e, HELP),
-        Ok(Some(n)) => n,
-        Ok(None) => {
-            // Fall back to counting a CSV.
-            match super::load_dataset(&parsed, HELP) {
-                Ok(ds) => ds.n_rows() as u64,
-                Err(out) => return out,
-            }
-        }
+/// Prints the advice for `--records` or the row count of a CSV.
+pub fn body(parsed: &Parsed, sink: &mut impl Write) -> Result<(), CliError> {
+    let target: f64 = parsed.or("target", "number", -3.0)?;
+    let n: u64 = match parsed.opt::<u64>("records", "integer")? {
+        Some(n) => n,
+        // Fall back to counting a CSV.
+        None => load_dataset(parsed)?.n_rows() as u64,
     };
     if n == 0 {
-        return (exit::USAGE, format!("--records must be positive\n\n{HELP}"));
+        return Err(CliError::Usage("--records must be positive".into()));
     }
 
     let advice = advise(n, target);
@@ -73,14 +50,9 @@ pub fn run(argv: &[String]) -> (i32, String) {
             .field(
                 "empty_cube_significance",
                 significance_of(advice.empty_cube_sparsity),
-            );
-        return match j {
-            Ok(j) => match session.finish() {
-                Ok(()) => (exit::OK, j.pretty() + "\n"),
-                Err(e) => (exit::RUNTIME, e),
-            },
-            Err(e) => (exit::RUNTIME, format!("failed to render advice: {e}")),
-        };
+            )
+            .map_err(|e| CliError::Runtime(format!("failed to render advice: {e}")))?;
+        return emit_report(sink, &(j.pretty() + "\n"));
     }
     let mut out = format!(
         "for N = {n} records (target sparsity {target}):\n\
@@ -101,23 +73,17 @@ pub fn run(argv: &[String]) -> (i32, String) {
              is too small for significant projections at any k (see paper §2.4).\n",
         );
     }
-    if let Err(e) = session.finish() {
-        return (exit::RUNTIME, e);
-    }
-    (exit::OK, out)
+    emit_report(sink, &out)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::test_support::{argv, planted_csv, run};
     use crate::exit;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn advises_from_record_count() {
-        let (code, out) = super::run(&argv(&["--records", "10000"]));
+        let (code, out) = run("advise", &argv(&["--records", "10000"]));
         assert_eq!(code, exit::OK);
         assert!(out.contains("phi = 10"), "{out}");
         assert!(out.contains("k   = 3"), "{out}");
@@ -125,7 +91,7 @@ mod tests {
 
     #[test]
     fn json_output() {
-        let (code, out) = super::run(&argv(&["--records", "452", "--json"]));
+        let (code, out) = run("advise", &argv(&["--records", "452", "--json"]));
         assert_eq!(code, exit::OK);
         assert!(out.contains("\"phi\""));
         assert!(out.contains("\"empty_cube_sparsity\""));
@@ -133,27 +99,30 @@ mod tests {
 
     #[test]
     fn warns_when_dataset_too_small() {
-        let (code, out) = super::run(&argv(&["--records", "5"]));
+        let (code, out) = run("advise", &argv(&["--records", "5"]));
         assert_eq!(code, exit::OK);
         assert!(out.contains("warning"), "{out}");
     }
 
     #[test]
     fn advises_from_csv() {
-        let (path, _) = super::super::test_support::planted_csv("advise-csv");
-        let (code, out) = super::run(&argv(&[path.to_str().unwrap()]));
+        let (path, _) = planted_csv("advise-csv");
+        let (code, out) = run("advise", &argv(&[path.to_str().unwrap()]));
         assert_eq!(code, exit::OK);
         assert!(out.contains("N = 400"), "{out}");
     }
 
     #[test]
     fn usage_errors() {
-        let (code, _) = super::run(&argv(&["--records", "abc"]));
+        let (code, _) = run("advise", &argv(&["--records", "abc"]));
         assert_eq!(code, exit::USAGE);
-        let (code, out) = super::run(&argv(&["--records", "0"]));
+        let (code, out) = run("advise", &argv(&["--records", "0"]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("positive"));
-        let (code, _) = super::run(&argv(&["--help"]));
+        let (code, out) = run("advise", &argv(&["--help"]));
         assert_eq!(code, exit::OK);
+        // The shared flags follow the command's own, at the same indent.
+        assert!(out.ends_with(crate::obs_setup::HELP), "{out}");
+        assert!(out.contains("--json          emit JSON\n    --log-level <l> "));
     }
 }

@@ -1,17 +1,18 @@
 //! `hdoutlier baseline` — the distance-based comparators, for side-by-side
 //! evaluation against the subspace detector.
 
-use super::{load_dataset, parse_or_usage, usage_err};
-use crate::exit;
-use crate::json::{FieldChain, Json};
-use crate::obs_setup::{self, ObsSession};
+use super::{emit_report, load_dataset, nonzero, CliError, Command};
+use crate::args::Parsed;
 use hdoutlier_baselines::{
     knorr_ng_outliers, lof::lof_top_n_threaded, ramaswamy_top_n_threaded, suggest_lambda, Metric,
 };
 use hdoutlier_data::clean::impute_mean;
+use hdoutlier_json::{FieldChain, Json};
+use std::io::Write;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier baseline — distance-based comparators
 
 USAGE:
@@ -33,117 +34,63 @@ OPTIONS:
     --delimiter <c>      field separator (default ',')
     --no-header          first row is data
     --json               emit JSON
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics and write an NDJSON snapshot to <p>
-    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p>
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-";
+",
+    values: &[
+        "method",
+        "k",
+        "top",
+        "lambda",
+        "depth",
+        "metric",
+        "threads",
+        "label-column",
+        "delimiter",
+    ],
+    bools: &["json", "impute", "no-header"],
+};
 
-/// Runs the subcommand against stdout.
-pub fn run(argv: &[String]) -> (i32, String) {
-    let stdout = std::io::stdout();
-    run_to(argv, &mut stdout.lock())
-}
-
-/// Runs the subcommand, collecting the report and any error text into one
-/// string (the test entry point).
-pub fn run_captured(argv: &[String]) -> (i32, String) {
-    let mut sink = Vec::new();
-    let (code, err) = run_to(argv, &mut sink);
-    let mut out = String::from_utf8(sink).expect("reports are valid UTF-8");
-    out.push_str(&err);
-    (code, out)
-}
-
-/// The command core: the report goes to `sink` (a consumer closing the pipe
-/// early — `| head` — is a normal shutdown); the returned string carries
-/// only help or error text.
-pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &[
-            "method",
-            "k",
-            "top",
-            "lambda",
-            "depth",
-            "metric",
-            "threads",
-            "label-column",
-            "delimiter",
-        ],
-        &["json", "impute", "no-header"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    let Some(method) = parsed.get("method") else {
-        return (exit::USAGE, format!("--method is required\n\n{HELP}"));
-    };
-    let method = method.to_string();
+/// Ranks the CSV's records by the chosen comparator and writes the ranking.
+pub fn body(parsed: &Parsed, sink: &mut impl Write) -> Result<(), CliError> {
+    let method = parsed
+        .get("method")
+        .ok_or_else(|| CliError::Usage("--method is required".into()))?;
     let metric = match parsed.get("metric").unwrap_or("euclidean") {
         "euclidean" => Metric::Euclidean,
         "manhattan" => Metric::Manhattan,
         "chebyshev" => Metric::Chebyshev,
         other => {
-            return (
-                exit::USAGE,
-                format!("--metric must be euclidean|manhattan|chebyshev, got {other:?}\n\n{HELP}"),
-            )
+            return Err(CliError::Usage(format!(
+                "--metric must be euclidean|manhattan|chebyshev, got {other:?}"
+            )))
         }
     };
-    let top: usize = match parsed.or("top", "integer", 10) {
-        Ok(t) => t,
-        Err(e) => return usage_err(e, HELP),
-    };
-    let threads: usize = match parsed.or("threads", "integer", hdoutlier_pool::default_threads()) {
-        Ok(t) if t >= 1 => t,
-        Ok(_) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Err(e) => return usage_err(e, HELP),
-    };
+    let top: usize = parsed.or("top", "integer", 10)?;
+    let threads =
+        nonzero(parsed, "threads", "must be >= 1")?.unwrap_or_else(hdoutlier_pool::default_threads);
 
-    let mut dataset = match load_dataset(&parsed, HELP) {
-        Ok(d) => d,
-        Err(out) => return out,
-    };
+    let mut dataset = load_dataset(parsed)?;
     if parsed.has("impute") {
         dataset = impute_mean(&dataset);
     }
 
     let rank_span =
         hdoutlier_obs::span(hdoutlier_obs::Level::Info, "hdoutlier.cli", "baseline_rank");
-    let ranked: Result<Vec<(usize, f64)>, String> = match method.as_str() {
+    let ranked: Result<Vec<(usize, f64)>, String> = match method {
         "knn" => {
-            let k: usize = match parsed.or("k", "integer", 1) {
-                Ok(k) => k,
-                Err(e) => return usage_err(e, HELP),
-            };
+            let k: usize = parsed.or("k", "integer", 1)?;
             ramaswamy_top_n_threaded(&dataset, k, top, metric, threads)
                 .map(|v| v.into_iter().map(|o| (o.row, o.score)).collect())
                 .map_err(|e| e.to_string())
         }
         "lof" => {
-            let k: usize = match parsed.or("k", "integer", 10) {
-                Ok(k) => k,
-                Err(e) => return usage_err(e, HELP),
-            };
+            let k: usize = parsed.or("k", "integer", 10)?;
             lof_top_n_threaded(&dataset, k, top, metric, threads).map_err(|e| e.to_string())
         }
         "knorr-ng" | "knorrng" => {
-            let k: usize = match parsed.or("k", "integer", 5) {
-                Ok(k) => k,
-                Err(e) => return usage_err(e, HELP),
-            };
-            let lambda = match parsed.opt::<f64>("lambda", "number") {
-                Err(e) => return usage_err(e, HELP),
-                Ok(Some(l)) => Ok(l),
-                Ok(None) => suggest_lambda(&dataset, 0.05, metric).map_err(|e| e.to_string()),
+            let k: usize = parsed.or("k", "integer", 5)?;
+            let lambda = match parsed.opt::<f64>("lambda", "number")? {
+                Some(l) => Ok(l),
+                None => suggest_lambda(&dataset, 0.05, metric).map_err(|e| e.to_string()),
             };
             lambda.and_then(|l| {
                 knorr_ng_outliers(&dataset, k, l, metric)
@@ -152,14 +99,8 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
             })
         }
         "intensional" => {
-            let k: usize = match parsed.or("k", "integer", 2) {
-                Ok(k) => k,
-                Err(e) => return usage_err(e, HELP),
-            };
-            let depth: usize = match parsed.or("depth", "integer", 2) {
-                Ok(d) => d,
-                Err(e) => return usage_err(e, HELP),
-            };
+            let k: usize = parsed.or("k", "integer", 2)?;
+            let depth: usize = parsed.or("depth", "integer", 2)?;
             hdoutlier_baselines::intensional_outliers(
                 &dataset,
                 &hdoutlier_baselines::IntensionalConfig {
@@ -179,18 +120,14 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
             .map_err(|e| e.to_string())
         }
         other => {
-            return (
-                exit::USAGE,
-                format!("--method must be knn|lof|knorr-ng|intensional, got {other:?}\n\n{HELP}"),
-            )
+            return Err(CliError::Usage(format!(
+                "--method must be knn|lof|knorr-ng|intensional, got {other:?}"
+            )))
         }
     };
 
     drop(rank_span);
-    let ranked = match ranked {
-        Ok(r) => r,
-        Err(e) => return (exit::RUNTIME, format!("baseline failed: {e}")),
-    };
+    let ranked = ranked.map_err(|e| CliError::Runtime(format!("baseline failed: {e}")))?;
 
     let rendered = if parsed.has("json") {
         let j = ranked
@@ -201,11 +138,9 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
                 Json::object()
                     .field("method", method)
                     .field("outliers", Json::Array(items))
-            });
-        match j {
-            Ok(j) => j.pretty() + "\n",
-            Err(e) => return (exit::RUNTIME, format!("failed to render ranking: {e}")),
-        }
+            })
+            .map_err(|e| CliError::Runtime(format!("failed to render ranking: {e}")))?;
+        j.pretty() + "\n"
     } else {
         let mut out = format!("{method}: {} outlier(s)\n", ranked.len());
         for (row, score) in &ranked {
@@ -213,34 +148,21 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
         }
         out
     };
-    if let Err(e) = super::emit_report(sink, &rendered) {
-        return (exit::RUNTIME, e);
-    }
-    match session.finish() {
-        Ok(()) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
-    }
+    emit_report(sink, &rendered)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::planted_csv;
+    use super::super::test_support::{argv, planted_csv, run};
     use crate::exit;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn knn_baseline_runs() {
         let (path, _) = planted_csv("baseline-knn");
-        let (code, out) = super::run_captured(&argv(&[
-            "--method",
-            "knn",
-            "--top",
-            "5",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&["--method", "knn", "--top", "5", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         assert_eq!(out.lines().count(), 6); // header + 5 rows
     }
@@ -248,30 +170,30 @@ mod tests {
     #[test]
     fn lof_and_knorr_ng_run() {
         let (path, _) = planted_csv("baseline-lof");
-        let (code, out) = super::run_captured(&argv(&[
-            "--method=lof",
-            "--k=5",
-            "--top=3",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&["--method=lof", "--k=5", "--top=3", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::OK, "{out}");
-        let (code, out) = super::run_captured(&argv(&[
-            "--method=knorr-ng",
-            "--k=2",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&["--method=knorr-ng", "--k=2", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::OK, "{out}");
     }
 
     #[test]
     fn intensional_method_runs() {
         let (path, _) = planted_csv("baseline-intensional");
-        let (code, out) = super::run_captured(&argv(&[
-            "--method=intensional",
-            "--k=2",
-            "--depth=2",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&[
+                "--method=intensional",
+                "--k=2",
+                "--depth=2",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         assert!(out.starts_with("intensional:"), "{out}");
     }
@@ -279,12 +201,15 @@ mod tests {
     #[test]
     fn json_output_and_metric_choice() {
         let (path, _) = planted_csv("baseline-json");
-        let (code, out) = super::run_captured(&argv(&[
-            "--method=knn",
-            "--metric=manhattan",
-            "--json",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&[
+                "--method=knn",
+                "--metric=manhattan",
+                "--json",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK);
         assert!(out.contains("\"method\": \"knn\""));
         assert!(out.contains("\"row\""));
@@ -292,18 +217,20 @@ mod tests {
 
     #[test]
     fn usage_errors() {
-        let (code, out) = super::run_captured(&argv(&["x.csv"]));
+        let (code, out) = run("baseline", &argv(&["x.csv"]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("--method is required"));
         let (path, _) = planted_csv("baseline-err");
-        let (code, out) = super::run_captured(&argv(&["--method=magic", path.to_str().unwrap()]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&["--method=magic", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("knn|lof|knorr-ng|intensional"));
-        let (code, out) = super::run_captured(&argv(&[
-            "--method=knn",
-            "--metric=cosine",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "baseline",
+            &argv(&["--method=knn", "--metric=cosine", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("euclidean"));
     }
@@ -315,16 +242,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline-missing.csv");
         std::fs::write(&path, "a,b\n1,2\nNaN,4\n5,6\n7,8\n").unwrap();
-        let (code, out) = super::run_captured(&argv(&["--method=knn", path.to_str().unwrap()]));
+        let (code, out) = run("baseline", &argv(&["--method=knn", path.to_str().unwrap()]));
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("missing"), "{out}");
         // With --impute it succeeds.
-        let (code, _) = super::run_captured(&argv(&[
-            "--method=knn",
-            "--impute",
-            "--top=2",
-            path.to_str().unwrap(),
-        ]));
+        let (code, _) = run(
+            "baseline",
+            &argv(&[
+                "--method=knn",
+                "--impute",
+                "--top=2",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK);
     }
 }

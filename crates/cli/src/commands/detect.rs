@@ -1,16 +1,18 @@
 //! `hdoutlier detect` — run the subspace detector on a CSV file.
 
-use super::{load_dataset, parse_or_usage, usage_err};
-use crate::exit;
-use crate::json::{FieldChain, Json, JsonError};
-use crate::obs_setup::{self, ObsSession};
+use super::{emit_report, load_dataset, nonzero, CliError, Command};
+use crate::args::Parsed;
+use crate::obs_setup;
 use hdoutlier_core::crossover::CrossoverKind;
 use hdoutlier_core::detector::{OutlierDetector, SearchMethod};
 use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
+use hdoutlier_json::{FieldChain, Json, JsonError};
+use std::io::Write;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier detect — find outliers via sparse-projection search
 
 USAGE:
@@ -35,120 +37,69 @@ OPTIONS:
     --no-header          first row is data, not column names
     --json               emit a JSON report instead of text
     --quiet              print only the outlier row indices
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics and write an NDJSON snapshot to <p>
-    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p>
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-    --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
-                         while detection runs (e.g. 127.0.0.1:9184)
-";
+",
+    values: &[
+        "phi",
+        "k",
+        "m",
+        "threshold",
+        "search",
+        "crossover",
+        "grid",
+        "seed",
+        "generations",
+        "population",
+        "threads",
+        "label-column",
+        "delimiter",
+        "save-model",
+        "serve-metrics",
+    ],
+    bools: &["json", "quiet", "no-header"],
+};
 
-/// Runs the subcommand against stdout.
-pub fn run(argv: &[String]) -> (i32, String) {
-    let stdout = std::io::stdout();
-    run_to(argv, &mut stdout.lock())
-}
-
-/// Runs the subcommand, collecting the report and any error text into one
-/// string (the test entry point).
-pub fn run_captured(argv: &[String]) -> (i32, String) {
-    let mut sink = Vec::new();
-    let (code, err) = run_to(argv, &mut sink);
-    let mut out = String::from_utf8(sink).expect("reports are valid UTF-8");
-    out.push_str(&err);
-    (code, out)
-}
-
-/// The command core: the report goes to `sink` (a consumer closing the pipe
-/// early — `| head` — is a normal shutdown); the returned string carries
-/// only help or error text.
-pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &[
-            "phi",
-            "k",
-            "m",
-            "threshold",
-            "search",
-            "crossover",
-            "grid",
-            "seed",
-            "generations",
-            "population",
-            "threads",
-            "label-column",
-            "delimiter",
-            "save-model",
-            "serve-metrics",
-        ],
-        &["json", "quiet", "no-header"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-
-    macro_rules! flag {
-        ($($call:tt)*) => {
-            match parsed.$($call)* {
-                Ok(v) => v,
-                Err(e) => return usage_err(e, HELP),
-            }
-        };
-    }
-    let phi: Option<u32> = flag!(opt("phi", "integer"));
-    let k: Option<usize> = flag!(opt("k", "integer"));
-    let m: usize = flag!(or("m", "integer", 20));
-    let threshold: Option<f64> = flag!(opt("threshold", "number"));
-    let seed: u64 = flag!(or("seed", "integer", 0));
-    let generations: usize = flag!(or("generations", "integer", 500));
-    let population: usize = flag!(or("population", "integer", 100));
-    let threads: usize = flag!(or("threads", "integer", hdoutlier_pool::default_threads()));
-    if threads == 0 {
-        return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}"));
-    }
+/// Runs the search and writes the report.
+pub fn body(parsed: &Parsed, sink: &mut impl Write) -> Result<(), CliError> {
+    let runtime = CliError::Runtime;
+    let phi: Option<u32> = parsed.opt("phi", "integer")?;
+    let k: Option<usize> = parsed.opt("k", "integer")?;
+    let m: usize = parsed.or("m", "integer", 20)?;
+    let threshold: Option<f64> = parsed.opt("threshold", "number")?;
+    let seed: u64 = parsed.or("seed", "integer", 0)?;
+    let generations: usize = parsed.or("generations", "integer", 500)?;
+    let population: usize = parsed.or("population", "integer", 100)?;
+    let threads =
+        nonzero(parsed, "threads", "must be >= 1")?.unwrap_or_else(hdoutlier_pool::default_threads);
 
     let search = match parsed.get("search").unwrap_or("evolutionary") {
         "brute" | "brute-force" => SearchMethod::BruteForce,
         "evolutionary" | "evolve" | "ga" => SearchMethod::Evolutionary,
         other => {
-            return (
-                exit::USAGE,
-                format!("--search must be brute|evolutionary, got {other:?}\n\n{HELP}"),
-            )
+            return Err(CliError::Usage(format!(
+                "--search must be brute|evolutionary, got {other:?}"
+            )))
         }
     };
     let crossover = match parsed.get("crossover").unwrap_or("optimized") {
         "optimized" => CrossoverKind::Optimized,
         "two-point" | "twopoint" => CrossoverKind::TwoPoint,
         other => {
-            return (
-                exit::USAGE,
-                format!("--crossover must be optimized|two-point, got {other:?}\n\n{HELP}"),
-            )
+            return Err(CliError::Usage(format!(
+                "--crossover must be optimized|two-point, got {other:?}"
+            )))
         }
     };
     let strategy = match parsed.get("grid").unwrap_or("equi-depth") {
         "equi-depth" | "equidepth" => DiscretizeStrategy::EquiDepth,
         "equi-width" | "equiwidth" => DiscretizeStrategy::EquiWidth,
         other => {
-            return (
-                exit::USAGE,
-                format!("--grid must be equi-depth|equi-width, got {other:?}\n\n{HELP}"),
-            )
+            return Err(CliError::Usage(format!(
+                "--grid must be equi-depth|equi-width, got {other:?}"
+            )))
         }
     };
 
-    let dataset = match load_dataset(&parsed, HELP) {
-        Ok(d) => d,
-        Err(out) => return out,
-    };
+    let dataset = load_dataset(parsed)?;
 
     let mut builder = OutlierDetector::builder()
         .m(m)
@@ -168,52 +119,39 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
     if let Some(t) = threshold {
         builder = builder.sparsity_threshold(t);
     }
-    let detector = builder.build();
-
-    let report = match detector.detect(&dataset) {
-        Ok(r) => r,
-        Err(e) => return (exit::RUNTIME, format!("detection failed: {e}")),
-    };
+    let report = builder
+        .build()
+        .detect(&dataset)
+        .map_err(|e| runtime(format!("detection failed: {e}")))?;
 
     // Rebuild the grid for explanations (cheap relative to the search).
     let effective_phi = phi.unwrap_or_else(|| advise(dataset.n_rows() as u64, -3.0).phi);
-    let disc = match Discretized::new(&dataset, effective_phi, strategy) {
-        Ok(d) => d,
-        Err(e) => return (exit::RUNTIME, format!("discretization failed: {e}")),
-    };
+    let disc = Discretized::new(&dataset, effective_phi, strategy)
+        .map_err(|e| runtime(format!("discretization failed: {e}")))?;
 
     if let Some(path) = parsed.get("save-model") {
         let model = hdoutlier_core::FittedModel::new(
             hdoutlier_data::GridSpec::from_discretized(&disc),
             report.projections.clone(),
         );
-        let json = match crate::model_io::to_json(&model) {
-            Ok(json) => json,
-            Err(e) => return (exit::RUNTIME, format!("failed to serialize model: {e}")),
-        };
-        if let Err(e) = std::fs::write(path, json.pretty() + "\n") {
-            return (exit::RUNTIME, format!("failed to write model {path}: {e}"));
-        }
+        let json = hdoutlier_stream::model_io::to_json(&model)
+            .map_err(|e| runtime(format!("failed to serialize model: {e}")))?;
+        std::fs::write(path, json.pretty() + "\n")
+            .map_err(|e| runtime(format!("failed to write model {path}: {e}")))?;
     }
 
     let rendered = if parsed.has("quiet") {
         let rows: Vec<String> = report.outlier_rows.iter().map(usize::to_string).collect();
         rows.join("\n") + "\n"
     } else if parsed.has("json") {
-        match render_json(&report, &disc, session.wants_metrics()) {
-            Ok(json) => json.pretty() + "\n",
-            Err(e) => return (exit::RUNTIME, format!("failed to render report: {e}")),
-        }
+        render_json(&report, &disc, parsed.get("metrics-out").is_some())
+            .map_err(|e| runtime(format!("failed to render report: {e}")))?
+            .pretty()
+            + "\n"
     } else {
         render_text(&report, &disc)
     };
-    if let Err(e) = super::emit_report(sink, &rendered) {
-        return (exit::RUNTIME, e);
-    }
-    match session.finish() {
-        Ok(()) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
-    }
+    emit_report(sink, &rendered)
 }
 
 fn render_text(report: &hdoutlier_core::OutlierReport, disc: &Discretized) -> String {
@@ -273,27 +211,26 @@ fn render_json(
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::planted_csv;
+    use super::super::test_support::{argv, planted_csv, run};
     use crate::exit;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn detect_finds_planted_outliers_in_csv() {
         let (path, planted_rows) = planted_csv("detect-basic");
-        let (code, out) = super::run_captured(&argv(&[
-            "--phi",
-            "4",
-            "--k",
-            "2",
-            "--m",
-            "6",
-            "--search",
-            "brute",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "detect",
+            &argv(&[
+                "--phi",
+                "4",
+                "--k",
+                "2",
+                "--m",
+                "6",
+                "--search",
+                "brute",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         assert!(out.contains("sparse projection"));
         let hit = planted_rows.iter().any(|r| out.contains(&format!("{r}")));
@@ -303,18 +240,21 @@ mod tests {
     #[test]
     fn quiet_mode_prints_only_indices() {
         let (path, _) = planted_csv("detect-quiet");
-        let (code, out) = super::run_captured(&argv(&[
-            "--phi",
-            "4",
-            "--k",
-            "2",
-            "--m",
-            "4",
-            "--search",
-            "brute",
-            "--quiet",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "detect",
+            &argv(&[
+                "--phi",
+                "4",
+                "--k",
+                "2",
+                "--m",
+                "4",
+                "--search",
+                "brute",
+                "--quiet",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK);
         for line in out.lines() {
             assert!(line.parse::<usize>().is_ok(), "non-index line {line:?}");
@@ -324,14 +264,17 @@ mod tests {
     #[test]
     fn json_mode_emits_wellformed_structure() {
         let (path, _) = planted_csv("detect-json");
-        let (code, out) = super::run_captured(&argv(&[
-            "--phi=4",
-            "--k=2",
-            "--m=3",
-            "--search=brute",
-            "--json",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "detect",
+            &argv(&[
+                "--phi=4",
+                "--k=2",
+                "--m=3",
+                "--search=brute",
+                "--json",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK);
         assert!(out.contains("\"projections\""));
         assert!(out.contains("\"outlier_rows\""));
@@ -342,22 +285,22 @@ mod tests {
 
     #[test]
     fn usage_errors() {
-        let (code, out) = super::run_captured(&argv(&["--bogus", "x.csv"]));
+        let (code, out) = run("detect", &argv(&["--bogus", "x.csv"]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("unknown option"));
-        let (code, _) = super::run_captured(&argv(&["--help"]));
+        let (code, _) = run("detect", &argv(&["--help"]));
         assert_eq!(code, exit::OK);
-        let (code, out) = super::run_captured(&argv(&["--search", "magic", "x.csv"]));
+        let (code, out) = run("detect", &argv(&["--search", "magic", "x.csv"]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("--search"));
-        let (code, out) = super::run_captured(&argv(&[]));
+        let (code, out) = run("detect", &argv(&[]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("missing input"));
     }
 
     #[test]
     fn runtime_error_on_missing_file() {
-        let (code, out) = super::run_captured(&argv(&["/nonexistent/nope.csv"]));
+        let (code, out) = run("detect", &argv(&["/nonexistent/nope.csv"]));
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("failed to read"));
     }
@@ -365,14 +308,17 @@ mod tests {
     #[test]
     fn threshold_filters() {
         let (path, _) = planted_csv("detect-threshold");
-        let (code, out) = super::run_captured(&argv(&[
-            "--phi=4",
-            "--k=2",
-            "--m=20",
-            "--search=brute",
-            "--threshold=-1000",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "detect",
+            &argv(&[
+                "--phi=4",
+                "--k=2",
+                "--m=20",
+                "--search=brute",
+                "--threshold=-1000",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK);
         assert!(out.contains("0 sparse projection(s)"), "{out}");
     }

@@ -1,17 +1,18 @@
 //! `hdoutlier explain` — drill into one record: in which subspace views is
 //! it abnormal?
 
-use super::{load_dataset, parse_or_usage, usage_err};
-use crate::exit;
-use crate::json::{FieldChain, Json};
-use crate::obs_setup::{self, ObsSession};
+use super::{emit_report, load_dataset, nonzero, CliError, Command};
+use crate::args::Parsed;
 use hdoutlier_core::drill::record_profile_threaded;
 use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_index::BitmapCounter;
+use hdoutlier_json::{FieldChain, Json};
+use std::io::Write;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier explain — rank every subspace view of one record by abnormality
 
 USAGE:
@@ -28,113 +29,61 @@ OPTIONS:
     --delimiter <c>      field separator (default ',')
     --no-header          first row is data
     --json               emit JSON
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics and write an NDJSON snapshot to <p>
-    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p>
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-";
+",
+    values: &[
+        "row",
+        "phi",
+        "k",
+        "top",
+        "threads",
+        "label-column",
+        "delimiter",
+    ],
+    bools: &["json", "no-header"],
+};
 
-/// Runs the subcommand against stdout.
-pub fn run(argv: &[String]) -> (i32, String) {
-    let stdout = std::io::stdout();
-    run_to(argv, &mut stdout.lock())
-}
-
-/// Runs the subcommand, collecting the report and any error text into one
-/// string (the test entry point).
-pub fn run_captured(argv: &[String]) -> (i32, String) {
-    let mut sink = Vec::new();
-    let (code, err) = run_to(argv, &mut sink);
-    let mut out = String::from_utf8(sink).expect("reports are valid UTF-8");
-    out.push_str(&err);
-    (code, out)
-}
-
-/// The command core: the report goes to `sink` (a consumer closing the pipe
-/// early — `| head` — is a normal shutdown); the returned string carries
-/// only help or error text.
-pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &[
-            "row",
-            "phi",
-            "k",
-            "top",
-            "threads",
-            "label-column",
-            "delimiter",
-        ],
-        &["json", "no-header"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    let row: usize = match parsed.required("row", "integer") {
-        Ok(r) => r,
-        Err(e) => return usage_err(e, HELP),
-    };
-    let top: usize = match parsed.or("top", "integer", 10) {
-        Ok(t) => t,
-        Err(e) => return usage_err(e, HELP),
-    };
-    let threads: usize = match parsed.or("threads", "integer", hdoutlier_pool::default_threads()) {
-        Ok(t) if t >= 1 => t,
-        Ok(_) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Err(e) => return usage_err(e, HELP),
-    };
+/// Profiles one record and writes its most abnormal views.
+pub fn body(parsed: &Parsed, sink: &mut impl Write) -> Result<(), CliError> {
+    let runtime = CliError::Runtime;
+    let row: usize = parsed.required("row", "integer")?;
+    let top: usize = parsed.or("top", "integer", 10)?;
+    let threads =
+        nonzero(parsed, "threads", "must be >= 1")?.unwrap_or_else(hdoutlier_pool::default_threads);
     let ks: Vec<usize> = match parsed.get("k") {
         None => vec![1, 2],
-        Some(raw) => {
-            let parsed_ks: Result<Vec<usize>, _> =
-                raw.split(',').map(|p| p.trim().parse()).collect();
-            match parsed_ks {
-                Ok(ks) if !ks.is_empty() => ks,
-                _ => {
-                    return (
-                        exit::USAGE,
-                        format!("--k must be a comma-separated list of integers\n\n{HELP}"),
-                    )
-                }
-            }
-        }
+        Some(raw) => raw
+            .split(',')
+            .map(|p| p.trim().parse())
+            .collect::<Result<Vec<usize>, _>>()
+            .ok()
+            .filter(|ks| !ks.is_empty())
+            .ok_or_else(|| {
+                CliError::Usage("--k must be a comma-separated list of integers".into())
+            })?,
     };
 
-    let dataset = match load_dataset(&parsed, HELP) {
-        Ok(d) => d,
-        Err(out) => return out,
-    };
+    let dataset = load_dataset(parsed)?;
     if row >= dataset.n_rows() {
-        return (
-            exit::RUNTIME,
-            format!("row {row} out of bounds ({} records)", dataset.n_rows()),
-        );
+        return Err(runtime(format!(
+            "row {row} out of bounds ({} records)",
+            dataset.n_rows()
+        )));
     }
-    let phi = match parsed.opt::<u32>("phi", "integer") {
-        Ok(Some(p)) => p,
-        Ok(None) => advise(dataset.n_rows() as u64, -3.0).phi,
-        Err(e) => return usage_err(e, HELP),
+    let phi = match parsed.opt::<u32>("phi", "integer")? {
+        Some(p) => p,
+        None => advise(dataset.n_rows() as u64, -3.0).phi,
     };
-    let disc = match Discretized::new(&dataset, phi, DiscretizeStrategy::EquiDepth) {
-        Ok(d) => d,
-        Err(e) => return (exit::RUNTIME, format!("discretization failed: {e}")),
-    };
+    let disc = Discretized::new(&dataset, phi, DiscretizeStrategy::EquiDepth)
+        .map_err(|e| runtime(format!("discretization failed: {e}")))?;
     let present = disc
         .row(row)
         .iter()
         .filter(|&&c| c != hdoutlier_data::discretize::MISSING_CELL)
         .count();
     if let Some(&bad) = ks.iter().find(|&&k| k == 0 || k > present) {
-        return (
-            exit::RUNTIME,
-            format!("k = {bad} out of range: record {row} has {present} present attributes"),
-        );
+        return Err(runtime(format!(
+            "k = {bad} out of range: record {row} has {present} present attributes"
+        )));
     }
     let counter = BitmapCounter::new(&disc);
     let profile = {
@@ -170,11 +119,9 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
                     .field("row", row)
                     .field("views_total", profile.len())
                     .field("views", Json::Array(items))
-            });
-        match j {
-            Ok(j) => j.pretty() + "\n",
-            Err(e) => return (exit::RUNTIME, format!("failed to render profile: {e}")),
-        }
+            })
+            .map_err(|e| runtime(format!("failed to render profile: {e}")))?;
+        j.pretty() + "\n"
     } else {
         let mut out = format!(
             "record {row}: {} views across k = {ks:?}, most abnormal first\n\n",
@@ -197,36 +144,29 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
         }
         out
     };
-    if let Err(e) = super::emit_report(sink, &rendered) {
-        return (exit::RUNTIME, e);
-    }
-    match session.finish() {
-        Ok(()) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
-    }
+    emit_report(sink, &rendered)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::planted_csv;
+    use super::super::test_support::{argv, planted_csv, run};
     use crate::exit;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn profiles_a_planted_outlier() {
         let (path, planted_rows) = planted_csv("explain-basic");
         let row = planted_rows[0].to_string();
-        let (code, out) = super::run_captured(&argv(&[
-            "--row",
-            &row,
-            "--phi=4",
-            "--k=2",
-            "--top=3",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "explain",
+            &argv(&[
+                "--row",
+                &row,
+                "--phi=4",
+                "--k=2",
+                "--top=3",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         assert!(out.contains("most abnormal first"), "{out}");
         // Top view should be strongly negative for a planted contrarian.
@@ -236,13 +176,16 @@ mod tests {
     #[test]
     fn json_output() {
         let (path, _) = planted_csv("explain-json");
-        let (code, out) = super::run_captured(&argv(&[
-            "--row=0",
-            "--phi=4",
-            "--k=1,2",
-            "--json",
-            path.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "explain",
+            &argv(&[
+                "--row=0",
+                "--phi=4",
+                "--k=1,2",
+                "--json",
+                path.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         assert!(out.contains("\"views_total\": 21")); // C(6,1)+C(6,2)
         assert!(out.contains("\"exact_significance\""));
@@ -251,17 +194,22 @@ mod tests {
     #[test]
     fn errors() {
         let (path, _) = planted_csv("explain-errors");
-        let (code, out) = super::run_captured(&argv(&[path.to_str().unwrap()]));
+        let (code, out) = run("explain", &argv(&[path.to_str().unwrap()]));
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("--row"));
-        let (code, out) = super::run_captured(&argv(&["--row=99999", path.to_str().unwrap()]));
+        let (code, out) = run("explain", &argv(&["--row=99999", path.to_str().unwrap()]));
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("out of bounds"));
-        let (code, out) = super::run_captured(&argv(&["--row=0", "--k=0", path.to_str().unwrap()]));
+        let (code, out) = run(
+            "explain",
+            &argv(&["--row=0", "--k=0", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("out of range"));
-        let (code, out) =
-            super::run_captured(&argv(&["--row=0", "--k=a,b", path.to_str().unwrap()]));
+        let (code, out) = run(
+            "explain",
+            &argv(&["--row=0", "--k=a,b", path.to_str().unwrap()]),
+        );
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("comma-separated"));
     }

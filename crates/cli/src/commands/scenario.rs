@@ -1,15 +1,17 @@
 //! `hdoutlier scenario` — the seeded end-to-end scenario packs and their
 //! golden-report regression gate.
 
-use super::parse_or_usage;
-use crate::exit;
-use crate::obs_setup::{self, ObsSession};
+use super::{emit_report, CliError, Command};
+use crate::args::Parsed;
+use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_scenario::golden::CheckOutcome;
 use hdoutlier_scenario::{all, golden, RunConfig, Scenario};
+use std::io::Write;
 use std::path::Path;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier scenario — seeded end-to-end scenario packs with golden reports
 
 USAGE:
@@ -33,50 +35,34 @@ OPTIONS:
     --threads <n>        pool threads for the pipelines (default 1);
                          reports must be byte-identical at any value
     --json               machine-readable `list` output
-";
+",
+    values: &["goldens-dir", "threads"],
+    bools: &["json"],
+};
 
-/// Runs the subcommand, streaming reports/progress to `sink`.
-pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) {
-    let spec = obs_setup::spec_with(&["goldens-dir", "threads"], &["json"]);
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    let threads: usize = match parsed.or("threads", "integer", 1) {
-        Ok(0) | Err(_) => {
-            return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}"));
-        }
+/// Runs the chosen action over the chosen packs, streaming reports and
+/// progress to `sink`.
+pub fn body(parsed: &Parsed, sink: &mut impl Write) -> Result<(), CliError> {
+    let usage = CliError::Usage;
+    let threads = match parsed.or("threads", "integer", 1) {
+        Ok(0) | Err(_) => return Err(usage("--threads must be >= 1".into())),
         Ok(t) => t,
     };
     let config = RunConfig { threads };
-    let goldens_dir = parsed.get("goldens-dir").unwrap_or("tests/goldens");
+    let goldens_dir = Path::new(parsed.get("goldens-dir").unwrap_or("tests/goldens"));
 
     let positional = parsed.positional();
-    let Some(action) = positional.first() else {
-        return (exit::USAGE, format!("missing action\n\n{HELP}"));
-    };
-    let packs = match select_packs(&positional[1..]) {
-        Ok(p) => p,
-        Err(msg) => return (exit::USAGE, format!("{msg}\n\n{HELP}")),
-    };
-
-    let result = match action.as_str() {
+    let action = positional
+        .first()
+        .ok_or_else(|| usage("missing action".into()))?;
+    let packs = select_packs(&positional[1..]).map_err(usage)?;
+    match action.as_str() {
         "list" => list(&packs, parsed.has("json"), sink),
         "run" => run_packs(&packs, &config, sink),
-        "check" => check_packs(&packs, &config, Path::new(goldens_dir), sink),
-        "update-goldens" => update_goldens(&packs, &config, Path::new(goldens_dir), sink),
-        other => return (exit::USAGE, format!("unknown action {other:?}\n\n{HELP}")),
-    };
-    if result.0 == exit::OK {
-        if let Err(e) = session.finish() {
-            return (exit::RUNTIME, e);
-        }
+        "check" => check_packs(&packs, &config, goldens_dir, sink),
+        "update-goldens" => update_goldens(&packs, &config, goldens_dir, sink),
+        other => Err(usage(format!("unknown action {other:?}"))),
     }
-    result
 }
 
 /// Resolves pack names; no names means every pack.
@@ -101,8 +87,7 @@ fn select_packs(names: &[String]) -> Result<Vec<Scenario>, String> {
     Ok(picked)
 }
 
-fn list(packs: &[Scenario], as_json: bool, sink: &mut impl std::io::Write) -> (i32, String) {
-    use crate::json::{FieldChain, Json};
+fn list(packs: &[Scenario], as_json: bool, sink: &mut impl Write) -> Result<(), CliError> {
     let rendered = if as_json {
         let items: Vec<Json> = packs
             .iter()
@@ -125,17 +110,14 @@ fn list(packs: &[Scenario], as_json: bool, sink: &mut impl std::io::Write) -> (i
         }
         out
     };
-    match super::emit_report(sink, &rendered) {
-        Ok(()) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
-    }
+    emit_report(sink, &rendered)
 }
 
 fn run_packs(
     packs: &[Scenario],
     config: &RunConfig,
-    sink: &mut impl std::io::Write,
-) -> (i32, String) {
+    sink: &mut impl Write,
+) -> Result<(), CliError> {
     let mut failures = Vec::new();
     for pack in packs {
         let outcome = match pack.run(config) {
@@ -145,9 +127,7 @@ fn run_packs(
                 continue;
             }
         };
-        if let Err(e) = super::emit_report(sink, &(outcome.report.pretty() + "\n")) {
-            return (exit::RUNTIME, e);
-        }
+        emit_report(sink, &(outcome.report.pretty() + "\n"))?;
         for failed in outcome.failed_invariants() {
             failures.push(format!(
                 "{}: invariant {} failed: {}",
@@ -162,8 +142,8 @@ fn check_packs(
     packs: &[Scenario],
     config: &RunConfig,
     goldens_dir: &Path,
-    sink: &mut impl std::io::Write,
-) -> (i32, String) {
+    sink: &mut impl Write,
+) -> Result<(), CliError> {
     let mut failures = Vec::new();
     for pack in packs {
         // Invariants gate first: a golden that still matches while ground
@@ -192,9 +172,7 @@ fn check_packs(
                     pack.name,
                     outcome.invariants.len()
                 );
-                if let Err(e) = super::emit_report(sink, &line) {
-                    return (exit::RUNTIME, e);
-                }
+                emit_report(sink, &line)?;
             }
             Ok(CheckOutcome::Missing { path }) => {
                 failures.push(format!(
@@ -225,8 +203,8 @@ fn update_goldens(
     packs: &[Scenario],
     config: &RunConfig,
     goldens_dir: &Path,
-    sink: &mut impl std::io::Write,
-) -> (i32, String) {
+    sink: &mut impl Write,
+) -> Result<(), CliError> {
     let mut failures = Vec::new();
     for pack in packs {
         let outcome = match pack.run(config) {
@@ -257,9 +235,7 @@ fn update_goldens(
                         "golden unchanged"
                     }
                 );
-                if let Err(e) = super::emit_report(sink, &line) {
-                    return (exit::RUNTIME, e);
-                }
+                emit_report(sink, &line)?;
             }
             Err(e) => failures.push(format!("{}: golden write failed: {e}", pack.name)),
         }
@@ -267,11 +243,11 @@ fn update_goldens(
     finish(failures)
 }
 
-fn finish(failures: Vec<String>) -> (i32, String) {
+fn finish(failures: Vec<String>) -> Result<(), CliError> {
     if failures.is_empty() {
-        (exit::OK, String::new())
+        Ok(())
     } else {
-        (exit::RUNTIME, failures.join("\n") + "\n")
+        Err(CliError::Runtime(failures.join("\n") + "\n"))
     }
 }
 
@@ -281,7 +257,6 @@ mod tests {
     use hdoutlier_scenario::{Invariant, Outcome, ScenarioError};
 
     fn broken(_: &RunConfig) -> Result<Outcome, ScenarioError> {
-        use crate::json::Json;
         Ok(Outcome {
             report: Json::object().field("verdict", "wrong").unwrap(),
             invariants: vec![Invariant::check("always-fails", false, "synthetic failure")],
@@ -299,8 +274,10 @@ mod tests {
             std::process::id()
         ));
         let mut sink = Vec::new();
-        let (code, err) = update_goldens(&[broken_pack()], &RunConfig::default(), &dir, &mut sink);
-        assert_eq!(code, exit::RUNTIME);
+        let result = update_goldens(&[broken_pack()], &RunConfig::default(), &dir, &mut sink);
+        let Err(CliError::Runtime(err)) = result else {
+            panic!("expected a runtime failure, got {result:?}");
+        };
         assert!(err.contains("refusing to write golden"), "{err}");
         assert!(err.contains("always-fails"), "{err}");
         assert!(!dir.join("broken.json").exists());
@@ -317,8 +294,10 @@ mod tests {
         let outcome = broken(&RunConfig::default()).unwrap();
         golden::update(&dir, "broken", &outcome.report).unwrap();
         let mut sink = Vec::new();
-        let (code, err) = check_packs(&[broken_pack()], &RunConfig::default(), &dir, &mut sink);
-        assert_eq!(code, exit::RUNTIME);
+        let result = check_packs(&[broken_pack()], &RunConfig::default(), &dir, &mut sink);
+        let Err(CliError::Runtime(err)) = result else {
+            panic!("expected a runtime failure, got {result:?}");
+        };
         assert!(err.contains("invariant always-fails failed"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

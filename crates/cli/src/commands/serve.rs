@@ -8,18 +8,16 @@
 //! address banner, and waits for a drain request (SIGTERM, SIGINT, or
 //! `POST /shutdown`) before draining gracefully.
 
-use super::parse_or_usage;
+use super::{nonzero, CliError, Command};
 use crate::args::Parsed;
-use crate::exit;
-use crate::obs_setup::{self, ObsSession};
-use hdoutlier_net::ServerConfig;
 use hdoutlier_serve::{signal, ServeConfig, ServeHandle};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier serve — a multi-session network scoring server
 
 Hosts many concurrent scoring sessions over HTTP/1.1, each the serve-side
@@ -44,6 +42,9 @@ ROUTES:
 Every response carries an X-Request-Id header: the client's value when it
 sent a well-formed one, a generated id otherwise. Events, trace spans, and
 quarantine lines produced while handling the request carry the same id.
+
+On SIGTERM/SIGINT or POST /shutdown the server stops accepting, finishes
+in-flight requests, writes a final checkpoint for every session, and exits.
 
 USAGE:
     hdoutlier serve [OPTIONS]
@@ -82,187 +83,102 @@ OPTIONS:
                          responses remembered by client-supplied
                          X-Request-Id so retries replay instead of
                          re-scoring (default 64; 0 disables)
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics, snapshot to <p> after drain
-    --trace-out <p>      profile spans, write Chrome trace JSON after drain
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-
-On SIGTERM/SIGINT or POST /shutdown the server stops accepting, finishes
-in-flight requests, writes a final checkpoint for every session, and exits.
-";
+",
+    values: &[
+        "addr",
+        "checkpoint-dir",
+        "max-sessions",
+        "threads",
+        "workers",
+        "queue-depth",
+        "max-body-bytes",
+        "slo-error-rate",
+        "slo-p99-ms",
+        "request-deadline-ms",
+        "shed-max-inflight",
+        "shed-retry-after-ms",
+        "replay-cache",
+    ],
+    bools: &["no-slo-shed"],
+};
 
 /// Poll cadence of the drain-flag wait loop.
 const WAIT_TICK: Duration = Duration::from_millis(25);
 
-/// Runs the subcommand: binds, banners, and blocks until drained.
-pub fn run(argv: &[String]) -> (i32, String) {
-    run_with_ready(argv, |_| {})
-}
-
-/// Like [`run`], with a callback invoked once the listener is bound (the
-/// in-process tests use it to learn the ephemeral port and drive requests;
-/// the binary passes a no-op).
-pub fn run_with_ready(argv: &[String], on_ready: impl FnOnce(SocketAddr) + Send) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &[
-            "addr",
-            "checkpoint-dir",
-            "max-sessions",
-            "threads",
-            "workers",
-            "queue-depth",
-            "max-body-bytes",
-            "slo-error-rate",
-            "slo-p99-ms",
-            "request-deadline-ms",
-            "shed-max-inflight",
-            "shed-retry-after-ms",
-            "replay-cache",
-        ],
-        &["no-slo-shed"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    let (code, out) = serve_under_session(&parsed, on_ready);
-    match session.finish() {
-        Ok(()) => (code, out),
-        Err(e) if code == exit::OK => (exit::RUNTIME, e),
-        Err(e) => (code, format!("{out}\n(telemetry flush also failed: {e})")),
-    }
-}
-
-/// Flag validation, bind, wait loop, and drain.
-fn serve_under_session(parsed: &Parsed, on_ready: impl FnOnce(SocketAddr) + Send) -> (i32, String) {
+/// Validates the flags, binds, prints the address banner, calls `on_ready`
+/// with the bound address (the in-process tests use it to learn the
+/// ephemeral port; the binary passes a no-op), and blocks until drained.
+pub fn body(parsed: &Parsed, on_ready: impl FnOnce(SocketAddr) + Send) -> Result<(), CliError> {
+    let usage = CliError::Usage;
     if let Some(extra) = parsed.positional().first() {
-        return (
-            exit::USAGE,
-            format!("unexpected argument {extra:?}\n\n{HELP}"),
-        );
+        return Err(usage(format!("unexpected argument {extra:?}")));
     }
     let mut config = ServeConfig::default();
-    match parsed.opt::<usize>("max-sessions", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--max-sessions must be >= 1\n\n{HELP}"),
-            )
+    if let Some(n) = nonzero(parsed, "max-sessions", "must be >= 1")? {
+        config.max_sessions = n;
+    }
+    if let Some(n) = nonzero(parsed, "threads", "must be >= 1")? {
+        config.threads = n;
+    }
+    if let Some(n) = nonzero(parsed, "workers", "must be >= 1")? {
+        config.http.workers = n;
+    }
+    if let Some(n) = parsed.opt("queue-depth", "integer")? {
+        config.http.queue_depth = n;
+    }
+    if let Some(n) = nonzero(parsed, "max-body-bytes", "must be >= 1")? {
+        config.http.max_body_bytes = n;
+    }
+    match parsed.opt::<f64>("slo-error-rate", "number")? {
+        Some(f) if (0.0..=1.0).contains(&f) => config.slo_error_rate = f,
+        Some(f) => {
+            return Err(usage(format!(
+                "--slo-error-rate must be in [0, 1], got {f}"
+            )))
         }
-        Ok(Some(n)) => config.max_sessions = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+        None => {}
     }
-    match parsed.opt::<usize>("threads", "integer") {
-        Ok(Some(0)) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Ok(Some(n)) => config.threads = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    let mut http = ServerConfig::default();
-    match parsed.opt::<usize>("workers", "integer") {
-        Ok(Some(0)) => return (exit::USAGE, format!("--workers must be >= 1\n\n{HELP}")),
-        Ok(Some(n)) => http.workers = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<usize>("queue-depth", "integer") {
-        Ok(Some(n)) => http.queue_depth = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<usize>("max-body-bytes", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--max-body-bytes must be >= 1\n\n{HELP}"),
-            )
+    match parsed.opt::<f64>("slo-p99-ms", "number")? {
+        Some(ms) if ms > 0.0 && ms.is_finite() => config.slo_p99_ms = ms,
+        Some(ms) => {
+            return Err(usage(format!(
+                "--slo-p99-ms must be a positive number, got {ms}"
+            )))
         }
-        Ok(Some(n)) => http.max_body_bytes = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+        None => {}
     }
-    config.http = http;
-    match parsed.opt::<f64>("slo-error-rate", "number") {
-        Ok(Some(f)) if (0.0..=1.0).contains(&f) => config.slo_error_rate = f,
-        Ok(Some(f)) => {
-            return (
-                exit::USAGE,
-                format!("--slo-error-rate must be in [0, 1], got {f}\n\n{HELP}"),
-            )
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<f64>("slo-p99-ms", "number") {
-        Ok(Some(ms)) if ms > 0.0 && ms.is_finite() => config.slo_p99_ms = ms,
-        Ok(Some(ms)) => {
-            return (
-                exit::USAGE,
-                format!("--slo-p99-ms must be a positive number, got {ms}\n\n{HELP}"),
-            )
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<u64>("request-deadline-ms", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--request-deadline-ms must be >= 1\n\n{HELP}"),
-            )
-        }
-        Ok(Some(ms)) => {
-            config.http.head_deadline = Duration::from_millis(ms);
-            config.http.body_deadline = Duration::from_millis(ms);
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+    if let Some(ms) = nonzero(parsed, "request-deadline-ms", "must be >= 1")? {
+        config.http.head_deadline = Duration::from_millis(ms);
+        config.http.body_deadline = Duration::from_millis(ms);
     }
     config.shed_on_unhealthy = !parsed.has("no-slo-shed");
-    match parsed.opt::<usize>("shed-max-inflight", "integer") {
-        Ok(Some(n)) => config.shed_max_inflight = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+    if let Some(n) = parsed.opt("shed-max-inflight", "integer")? {
+        config.shed_max_inflight = n;
     }
-    match parsed.opt::<u64>("shed-retry-after-ms", "integer") {
-        Ok(Some(ms)) => {
-            config.shed_retry_after = Duration::from_millis(ms);
-            // The net layer's own 503s (connection budget) advertise the
-            // same back-off.
-            config.http.retry_after = Duration::from_millis(ms);
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+    if let Some(ms) = parsed.opt("shed-retry-after-ms", "integer")? {
+        config.shed_retry_after = Duration::from_millis(ms);
+        // The net layer's own 503s (connection budget) advertise the same
+        // back-off.
+        config.http.retry_after = Duration::from_millis(ms);
     }
-    match parsed.opt::<usize>("replay-cache", "integer") {
-        Ok(Some(n)) => config.replay_cache = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
+    if let Some(n) = parsed.opt("replay-cache", "integer")? {
+        config.replay_cache = n;
     }
     if let Some(dir) = parsed.get("checkpoint-dir") {
         let dir = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            return (
-                exit::RUNTIME,
-                format!("cannot create checkpoint dir {}: {e}", dir.display()),
-            );
-        }
+        std::fs::create_dir_all(&dir).map_err(|e| {
+            CliError::Runtime(format!(
+                "cannot create checkpoint dir {}: {e}",
+                dir.display()
+            ))
+        })?;
         config.checkpoint_dir = Some(dir);
     }
     let addr = parsed.get("addr").unwrap_or("127.0.0.1:0");
 
     signal::install_termination_flag();
-    let handle = match ServeHandle::bind(addr, config) {
-        Ok(h) => h,
-        Err(e) => return (exit::RUNTIME, format!("cannot bind {addr}: {e}")),
-    };
+    let handle = ServeHandle::bind(addr, config)
+        .map_err(|e| CliError::Runtime(format!("cannot bind {addr}: {e}")))?;
     let local = handle.local_addr();
     // The banner is the contract with scripts and tests: the bound address
     // (port 0 resolves here) on stderr, before any request is served.
@@ -279,11 +195,37 @@ fn serve_under_session(parsed: &Parsed, on_ready: impl FnOnce(SocketAddr) + Send
         report.sessions, report.checkpointed
     );
     if report.errors.is_empty() {
-        (exit::OK, String::new())
+        Ok(())
     } else {
-        (
-            exit::RUNTIME,
-            format!("drain checkpoint failures:\n{}", report.errors.join("\n")),
-        )
+        Err(CliError::Runtime(format!(
+            "drain checkpoint failures:\n{}",
+            report.errors.join("\n")
+        )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::test_support::argv;
+    use super::*;
+    use crate::exit;
+    use std::io::{Read, Write};
+
+    #[test]
+    fn on_ready_sees_the_bound_address_and_shutdown_drains() {
+        let (code, out) = COMMAND.run(&argv(&["--workers", "1"]), |parsed| {
+            body(parsed, |addr| {
+                let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+                conn.write_all(
+                    b"POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\
+                      Connection: close\r\n\r\n",
+                )
+                .expect("send");
+                let mut response = String::new();
+                conn.read_to_string(&mut response).expect("response");
+                assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            })
+        });
+        assert_eq!(code, exit::OK, "{out}");
     }
 }

@@ -14,21 +14,18 @@
 //! failures), parses CSV rows, writes each verdict line to stdout with a
 //! flush, and maps how the session stopped to an exit code.
 
-use super::parse_or_usage;
+use super::{delimiter, nonzero, CliError, Command};
 use crate::args::Parsed;
-use crate::exit;
-use crate::model_io;
-use crate::obs_setup::{self, ObsSession};
 use hdoutlier_stream::session::{
     ErrorPolicy, LineSink, OpenError, ScoringSession, SessionOptions, Stop,
 };
 use hdoutlier_stream::{OnlineScorer, RecoveredFrom};
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
-/// Per-command help.
-pub const HELP: &str = "\
+/// Help text and flags.
+pub const COMMAND: Command = Command {
+    help: "\
 hdoutlier stream — score records from stdin as they arrive
 
 Reads CSV rows from stdin (same column order the model was fitted on) and
@@ -71,116 +68,52 @@ OPTIONS:
     --resume <path>      restore state from a checkpoint before scoring; it
                          must match the model's grid fingerprint. Feed the
                          remaining records (headerless, with --no-header)
-    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
-    --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable per-record latency metrics, snapshot to <p> at EOF
-    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p> at EOF
-    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99)
-    --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
-                         while the stream runs (e.g. 127.0.0.1:9184)
-";
+",
+    values: &[
+        "model",
+        "delimiter",
+        "drift-alpha",
+        "drift-every",
+        "batch",
+        "threads",
+        "on-error",
+        "max-consecutive-errors",
+        "checkpoint",
+        "checkpoint-every",
+        "resume",
+        "serve-metrics",
+    ],
+    bools: &["no-header", "outliers-only"],
+};
 
-/// Runs the subcommand against real stdin, writing each verdict to stdout
-/// as soon as it is computed (flushed per record, so `tail -f | hdoutlier
-/// stream` pipelines see verdicts immediately rather than at EOF).
-pub fn run(argv: &[String]) -> (i32, String) {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    run_streaming(argv, stdin.lock(), &mut stdout.lock())
-}
-
-/// Runs the subcommand against any line source, collecting verdicts and any
-/// trailing error into one string (tests feed strings and assert on both).
-pub fn run_with_input(argv: &[String], input: impl BufRead) -> (i32, String) {
-    let mut sink = Vec::new();
-    let (code, err) = run_streaming(argv, input, &mut sink);
-    let mut out = String::from_utf8(sink).expect("verdicts are valid UTF-8");
-    out.push_str(&err);
-    (code, out)
-}
-
-/// The streaming core: verdicts go to `sink` record by record; the returned
-/// string carries only usage/runtime error text (empty on success).
-///
-/// Exposed to the fault-injection integration tests, which drive it with
-/// readers and writers that fail at scripted points.
-pub fn run_streaming(argv: &[String], input: impl BufRead, sink: &mut impl Write) -> (i32, String) {
-    let spec = obs_setup::spec_with(
-        &[
-            "model",
-            "delimiter",
-            "drift-alpha",
-            "drift-every",
-            "batch",
-            "threads",
-            "on-error",
-            "max-consecutive-errors",
-            "checkpoint",
-            "checkpoint-every",
-            "resume",
-            "serve-metrics",
-        ],
-        &["no-header", "outliers-only"],
-    );
-    let parsed = match parse_or_usage(&spec, argv, HELP) {
-        Ok(p) => p,
-        Err(out) => return out,
-    };
-    let mut session = match ObsSession::init(&parsed) {
-        Ok(s) => s,
-        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
-    };
-    // Everything past session init funnels through one exit point so the
-    // telemetry exports (`--metrics-out`/`--trace-out`) are flushed on
-    // *every* path, error exits included.
-    let (code, out) = stream_under_session(&parsed, input, sink);
-    match session.finish() {
-        Ok(()) => (code, out),
-        Err(e) if code == exit::OK => (exit::RUNTIME, e),
-        // Best-effort on failure paths: report the flush failure without
-        // masking the original error.
-        Err(e) => (code, format!("{out}\n(telemetry flush also failed: {e})")),
-    }
-}
-
-/// The post-session-init half of the command: the scoring loop over the
-/// session [`open_session`] builds, then the final checkpoint.
-fn stream_under_session(
-    parsed: &Parsed,
-    input: impl BufRead,
-    sink: &mut impl Write,
-) -> (i32, String) {
-    let (mut session, delimiter) = match open_session(parsed) {
-        Ok(opened) => opened,
-        Err(out) => return out,
-    };
+/// Scores every record of `input`, writing each verdict to `sink` as soon
+/// as it is computed (flushed per record, so `tail -f | hdoutlier stream`
+/// pipelines see verdicts immediately rather than at EOF), then writes the
+/// final checkpoint.
+pub fn body(parsed: &Parsed, input: impl BufRead, sink: &mut impl Write) -> Result<(), CliError> {
+    let (mut session, delimiter) = open_session(parsed)?;
     let header = !parsed.has("no-header");
     match score_input(&mut session, input, delimiter, header, &mut FlushEach(sink)) {
         // A consumer hang-up is a normal stop: the records scored so far
         // still land in the final checkpoint.
         Ok(()) | Err(Stop::HungUp) => {}
         Err(Stop::Tripped(trip)) => {
-            return (
-                exit::RUNTIME,
+            return Err(CliError::Runtime(
                 trip.describe("--max-consecutive-errors", "aborting"),
-            )
+            ))
         }
-        Err(Stop::Failed(e)) => return (exit::RUNTIME, e),
+        Err(Stop::Failed(e)) => return Err(CliError::Runtime(e)),
     }
     // A final checkpoint at EOF (or consumer hang-up) so a clean restart
     // resumes from the last record, not the last cadence boundary.
-    match session.save_checkpoint() {
-        Ok(_) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
-    }
+    session.save_checkpoint().map_err(CliError::Runtime)?;
+    Ok(())
 }
 
 /// Flag validation, model load and resume: the ready session and the CSV
-/// delimiter, or the exit code and message to stop with.
-fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)> {
-    let usage = |msg: String| (exit::USAGE, format!("{msg}\n\n{HELP}"));
-    let runtime = |msg: String| (exit::RUNTIME, msg);
+/// delimiter.
+fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), CliError> {
+    let (usage, runtime) = (CliError::Usage, CliError::Runtime);
     if let Some(path) = parsed.positional().first() {
         return Err(usage(format!(
             "unexpected argument {path:?}: records are read from stdin"
@@ -189,24 +122,17 @@ fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)
     let model_path = parsed
         .get("model")
         .ok_or_else(|| usage("--model is required".into()))?;
-    let delimiter = match parsed.get("delimiter") {
-        None => ',',
-        Some(d) if d.chars().count() == 1 => d.chars().next().expect("one char"),
-        Some(d) => {
-            return Err(usage(format!(
-                "--delimiter must be a single character, got {d:?}"
-            )))
-        }
-    };
+    let delimiter = delimiter(parsed)?;
     let policy = ErrorPolicy::parse(parsed.get("on-error").unwrap_or("abort"))
         .map_err(|e| usage(format!("--on-error {e}")))?;
-    let batch = nonzero(parsed, "batch", 1, "must be >= 1")?;
-    let threads = hdoutlier_pool::default_threads();
-    let threads = nonzero(parsed, "threads", threads, "must be >= 1")?;
-    let max_consecutive = nonzero(parsed, "max-consecutive-errors", 100, "must be positive")?;
-    let checkpoint_every = nonzero(parsed, "checkpoint-every", 1000, "must be positive")?;
+    let batch = nonzero(parsed, "batch", "must be >= 1")?.unwrap_or(1);
+    let threads =
+        nonzero(parsed, "threads", "must be >= 1")?.unwrap_or_else(hdoutlier_pool::default_threads);
+    let max_consecutive =
+        nonzero(parsed, "max-consecutive-errors", "must be positive")?.unwrap_or(100);
+    let checkpoint_every = nonzero(parsed, "checkpoint-every", "must be positive")?;
     let checkpoint = parsed.get("checkpoint").map(PathBuf::from);
-    if checkpoint.is_none() && parsed.get("checkpoint-every").is_some() {
+    if checkpoint.is_none() && checkpoint_every.is_some() {
         return Err(usage(
             "--checkpoint-every requires --checkpoint <path>".into(),
         ));
@@ -214,7 +140,7 @@ fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)
 
     let text = std::fs::read_to_string(model_path)
         .map_err(|e| runtime(format!("failed to read {model_path}: {e}")))?;
-    let model = model_io::from_json_text(&text)
+    let model = hdoutlier_stream::model_io::from_json_text(&text)
         .map_err(|e| runtime(format!("failed to load model: {e}")))?;
     let scorer = OnlineScorer::new(model)
         .map_err(|e| runtime(format!("model unusable for streaming: {e}")))?;
@@ -225,22 +151,21 @@ fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)
         policy,
         max_consecutive,
         checkpoint,
-        checkpoint_every,
-        drift_alpha: parsed
-            .opt("drift-alpha", "number")
-            .map_err(|e| super::usage_err(e, HELP))?,
-        drift_every: parsed
-            .opt("drift-every", "integer")
-            .map_err(|e| super::usage_err(e, HELP))?,
+        checkpoint_every: checkpoint_every.unwrap_or(1000),
+        drift_alpha: parsed.opt("drift-alpha", "number")?,
+        drift_every: parsed.opt("drift-every", "integer")?,
     };
     // Resume first, then explicit drift flags: a flag given on the resumed
     // invocation deliberately overrides the checkpointed cadence/alpha.
     let resume = parsed.get("resume");
-    let (session, recovered) = ScoringSession::open(scorer, options, resume.map(Path::new))
+    let (mut session, recovered) = ScoringSession::open(scorer, options, resume.map(Path::new))
         .map_err(|e| match e {
             OpenError::Drift(_) => usage(e.to_string()),
             _ => runtime(e.to_string()),
         })?;
+    // Error verdicts number this invocation's own stdin lines from 1, also
+    // after a resume.
+    session.set_line_no(0);
     if let (Some(path), Some(RecoveredFrom::Previous { quarantined })) = (resume, recovered) {
         // The primary was corrupt or missing; say so loudly — the resumed
         // run is one checkpoint generation behind.
@@ -256,21 +181,6 @@ fn open_session(parsed: &Parsed) -> Result<(ScoringSession, char), (i32, String)
         }
     }
     Ok((session, delimiter))
-}
-
-/// An integer flag that must not be 0 (`zero` is the complaint when it
-/// is), `default` when absent.
-fn nonzero<T: FromStr + Default + PartialEq>(
-    parsed: &Parsed,
-    flag: &str,
-    default: T,
-    zero: &str,
-) -> Result<T, (i32, String)> {
-    match parsed.or(flag, "integer", default) {
-        Ok(n) if n == T::default() => Err((exit::USAGE, format!("--{flag} {zero}\n\n{HELP}"))),
-        Ok(n) => Ok(n),
-        Err(e) => Err(super::usage_err(e, HELP)),
-    }
 }
 
 /// Feeds every stdin line to the session: counts each line, skips blank
@@ -357,28 +267,27 @@ fn parse_row(
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::planted_csv;
+    use super::super::test_support::{argv, planted_csv, run, run_input};
     use crate::exit;
-    use crate::json::Json;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use hdoutlier_json::Json;
 
     /// Trains a model from a planted CSV and returns (csv text, model path,
     /// planted row indices).
     fn trained(name: &str) -> (String, std::path::PathBuf, Vec<usize>) {
         let (csv, planted_rows) = planted_csv(name);
         let model_path = csv.with_extension("model.json");
-        let (code, out) = crate::commands::detect::run_captured(&argv(&[
-            "--phi=4",
-            "--k=2",
-            "--m=6",
-            "--search=brute",
-            "--save-model",
-            model_path.to_str().unwrap(),
-            csv.to_str().unwrap(),
-        ]));
+        let (code, out) = run(
+            "detect",
+            &argv(&[
+                "--phi=4",
+                "--k=2",
+                "--m=6",
+                "--search=brute",
+                "--save-model",
+                model_path.to_str().unwrap(),
+                csv.to_str().unwrap(),
+            ]),
+        );
         assert_eq!(code, exit::OK, "{out}");
         let text = std::fs::read_to_string(&csv).unwrap();
         (text, model_path, planted_rows)
@@ -388,7 +297,8 @@ mod tests {
     fn emits_one_ndjson_verdict_per_record() {
         let (csv_text, model_path, planted_rows) = trained("stream-basic");
         let n_records = csv_text.lines().count() - 1; // header
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap()]),
             csv_text.as_bytes(),
         );
@@ -421,12 +331,14 @@ mod tests {
     #[test]
     fn outliers_only_filters_inliers() {
         let (csv_text, model_path, _) = trained("stream-filter");
-        let (code, all) = super::run_with_input(
+        let (code, all) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap()]),
             csv_text.as_bytes(),
         );
         assert_eq!(code, exit::OK);
-        let (code, some) = super::run_with_input(
+        let (code, some) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap(), "--outliers-only"]),
             csv_text.as_bytes(),
         );
@@ -438,7 +350,8 @@ mod tests {
     #[test]
     fn drift_report_attaches_on_cadence() {
         let (csv_text, model_path, _) = trained("stream-drift");
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -475,7 +388,8 @@ mod tests {
             shifted.push_str(&fields.join(","));
             shifted.push('\n');
         }
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -506,7 +420,8 @@ mod tests {
     fn metrics_out_writes_parseable_ndjson() {
         let (csv_text, model_path, _) = trained("stream-metrics");
         let metrics_path = model_path.with_extension("metrics.ndjson");
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -548,7 +463,8 @@ mod tests {
         let metrics_path = model_path.with_extension("err-metrics.ndjson");
         let _ = std::fs::remove_file(&metrics_path);
         // Default abort policy dies on the malformed line...
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -569,7 +485,8 @@ mod tests {
         let (_, model_path, _) = trained("stream-missing");
         // Two headerless records with missing markers in several columns.
         let input = "0,0,?,0,NaN,0\n1,1,1,1,1,1\n";
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap(), "--no-header"]),
             input.as_bytes(),
         );
@@ -581,7 +498,8 @@ mod tests {
     fn skip_policy_keeps_scoring_past_bad_lines() {
         let (_, model_path, _) = trained("stream-skip");
         let input = "1,2,3\n0,0,0,0,0,0\n1,2,3,4,5,banana\n1,1,1,1,1,1\n";
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -610,7 +528,8 @@ mod tests {
     fn circuit_breaker_halts_runaway_garbage() {
         let (_, model_path, _) = trained("stream-breaker");
         let garbage = "x\n".repeat(10);
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -632,7 +551,8 @@ mod tests {
         );
         // A good record in between resets the count.
         let mixed = "x\nx\nx\n0,0,0,0,0,0\nx\nx\nx\n";
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -651,7 +571,8 @@ mod tests {
     #[test]
     fn batch_scoring_output_is_byte_identical_to_record_at_a_time() {
         let (csv_text, model_path, _) = trained("stream-batch");
-        let (code, serial) = super::run_with_input(
+        let (code, serial) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap()]),
             csv_text.as_bytes(),
         );
@@ -659,7 +580,8 @@ mod tests {
         assert!(!serial.is_empty());
         // Batch sizes that divide the stream unevenly, several thread counts.
         for (batch, threads) in [("1", "2"), ("7", "2"), ("7", "8"), ("64", "4")] {
-            let (code, batched) = super::run_with_input(
+            let (code, batched) = run_input(
+                "stream",
                 &argv(&[
                     "--model",
                     model_path.to_str().unwrap(),
@@ -686,11 +608,11 @@ mod tests {
             "--on-error",
             "skip",
         ]);
-        let (code, serial) = super::run_with_input(&base, input.as_bytes());
+        let (code, serial) = run_input("stream", &base, input.as_bytes());
         assert_eq!(code, exit::OK, "{serial}");
         let mut batched_args = base.clone();
         batched_args.extend(argv(&["--batch", "3", "--threads", "2"]));
-        let (code, batched) = super::run_with_input(&batched_args, input.as_bytes());
+        let (code, batched) = run_input("stream", &batched_args, input.as_bytes());
         assert_eq!(code, exit::OK, "{batched}");
         assert_eq!(batched, serial);
     }
@@ -699,7 +621,8 @@ mod tests {
     fn batch_and_threads_reject_zero() {
         let (_, model_path, _) = trained("stream-batch-usage");
         for flag in ["--batch=0", "--threads=0"] {
-            let (code, out) = super::run_with_input(
+            let (code, out) = run_input(
+                "stream",
                 &argv(&["--model", model_path.to_str().unwrap(), flag]),
                 b"" as &[u8],
             );
@@ -712,7 +635,8 @@ mod tests {
     fn errors_are_reported_with_line_numbers() {
         let (_, model_path, _) = trained("stream-errors");
         // Wrong field count.
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap(), "--no-header"]),
             "1,2,3\n".as_bytes(),
         );
@@ -720,27 +644,33 @@ mod tests {
         assert!(out.contains("line 1"), "{out}");
         assert!(out.contains("expected 6 fields"), "{out}");
         // Unparseable number.
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&["--model", model_path.to_str().unwrap(), "--no-header"]),
             "1,2,3,4,5,banana\n".as_bytes(),
         );
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("banana"), "{out}");
         // Usage errors.
-        let (code, out) = super::run_with_input(&argv(&[]), "".as_bytes());
+        let (code, out) = run_input("stream", &argv(&[]), "".as_bytes());
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("--model is required"));
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&["--model", "x.json", "positional.csv"]),
             "".as_bytes(),
         );
         assert_eq!(code, exit::USAGE);
         assert!(out.contains("read from stdin"), "{out}");
-        let (code, _) =
-            super::run_with_input(&argv(&["--model", "/nope/missing.json"]), "".as_bytes());
+        let (code, _) = run_input(
+            "stream",
+            &argv(&["--model", "/nope/missing.json"]),
+            "".as_bytes(),
+        );
         assert_eq!(code, exit::RUNTIME);
         // Bad drift flags.
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),
@@ -766,11 +696,12 @@ mod tests {
                 "0",
             ],
         ] {
-            let (code, out) = super::run_with_input(&argv(&bad), "".as_bytes());
+            let (code, out) = run_input("stream", &argv(&bad), "".as_bytes());
             assert_eq!(code, exit::USAGE, "{bad:?}: {out}");
         }
         // Resume from a missing checkpoint is a runtime error.
-        let (code, out) = super::run_with_input(
+        let (code, out) = run_input(
+            "stream",
             &argv(&[
                 "--model",
                 model_path.to_str().unwrap(),

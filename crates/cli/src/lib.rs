@@ -7,21 +7,23 @@
 //! - [`args`]: a small, dependency-free command-line parser (flags with
 //!   values, `--flag=value` and `--flag value` forms, positional arguments,
 //!   typed getters with error messages);
-//! - [`json`]: re-export of the workspace `hdoutlier-json` crate — a minimal
-//!   JSON value with writer and parser (the workspace builds hermetically
-//!   with no external dependencies; reports, model files, and checkpoints
-//!   are simple enough that escaping + nesting is all that is needed);
-//! - [`commands`]: the `detect`, `score`, `stream`, `serve`, `explain`,
-//!   `advise` and `baseline` subcommands, returning their output as a
-//!   string so tests can assert on it;
-//! - [`obs_setup`]: the shared `--log-level` / `--log-json` /
-//!   `--metrics-out` observability flags and the metrics snapshot helpers.
+//! - `commands`: the `detect`, `score`, `stream`, `serve`, `explain`,
+//!   `advise`, `baseline` and `scenario` subcommands, and the one runner
+//!   that parses, opens telemetry, renders errors and flushes for them all;
+//! - `obs_setup`: the shared `--log-level` / `--log-json` /
+//!   `--metrics-out` / `--trace-out` / `--profile-out` flags and the
+//!   metrics snapshot helpers.
+//!
+//! Two entry points: [`run`] captures everything into one string (tests),
+//! and [`run_with`] takes explicit input and report sinks (the binary
+//! passes stdin and stdout).
 
 pub mod args;
-pub mod commands;
-pub mod json;
-pub mod model_io;
-pub mod obs_setup;
+mod commands;
+mod obs_setup;
+
+use commands::{advise, baseline, detect, explain, scenario, score, serve, stream};
+use std::io::{BufRead, Write};
 
 /// Exit codes used by the binary.
 pub mod exit {
@@ -54,53 +56,37 @@ COMMANDS:
 Run `hdoutlier <COMMAND> --help` for per-command options.
 ";
 
-/// Dispatches a full argument vector (without argv\[0\]); returns
-/// `(exit_code, output)`. Reports and errors are rendered into the output
-/// so tests can assert on messages.
+/// Dispatches a full argument vector (without argv\[0\]) with empty stdin;
+/// returns `(exit_code, output)`, the report followed by any help or error
+/// text, so tests can assert on both.
 pub fn run(argv: &[String]) -> (i32, String) {
     let mut sink = Vec::new();
-    let (code, err) = run_to(argv, &mut sink);
+    let (code, err) = run_with(argv, std::io::empty(), &mut sink);
     let mut out = String::from_utf8(sink).expect("reports are valid UTF-8");
     out.push_str(&err);
     (code, out)
 }
 
-/// Dispatches with reports streamed to `sink`. The binary passes stdout, so
-/// a consumer closing the pipe early (`hdoutlier ... | head`) is handled
+/// Dispatches with `input` as stdin (read by `stream`) and reports written
+/// to `sink` as they are produced. The binary passes stdin and stdout, so a
+/// consumer closing the pipe early (`hdoutlier ... | head`) is handled
 /// gracefully mid-report instead of surfacing as a write failure. The
 /// returned string carries only help or error text.
-pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) {
+pub fn run_with(argv: &[String], input: impl BufRead, sink: &mut impl Write) -> (i32, String) {
     let Some(command) = argv.first() else {
         return (exit::USAGE, USAGE.to_string());
     };
     let rest = &argv[1..];
     match command.as_str() {
-        "detect" => commands::detect::run_to(rest, sink),
-        "score" => emit(commands::score::run(rest), sink),
-        "stream" => {
-            let stdin = std::io::stdin();
-            commands::stream::run_streaming(rest, stdin.lock(), sink)
-        }
-        "serve" => commands::serve::run(rest),
-        "explain" => commands::explain::run_to(rest, sink),
-        "advise" => emit(commands::advise::run(rest), sink),
-        "baseline" => commands::baseline::run_to(rest, sink),
-        "scenario" => commands::scenario::run_to(rest, sink),
+        "detect" => detect::COMMAND.run(rest, |p| detect::body(p, sink)),
+        "score" => score::COMMAND.run(rest, |p| score::body(p, sink)),
+        "stream" => stream::COMMAND.run(rest, |p| stream::body(p, input, sink)),
+        "serve" => serve::COMMAND.run(rest, |p| serve::body(p, |_| {})),
+        "explain" => explain::COMMAND.run(rest, |p| explain::body(p, sink)),
+        "advise" => advise::COMMAND.run(rest, |p| advise::body(p, sink)),
+        "baseline" => baseline::COMMAND.run(rest, |p| baseline::body(p, sink)),
+        "scenario" => scenario::COMMAND.run(rest, |p| scenario::body(p, sink)),
         "help" | "--help" | "-h" => (exit::OK, USAGE.to_string()),
         other => (exit::USAGE, format!("unknown command {other:?}\n\n{USAGE}")),
-    }
-}
-
-/// Routes a fully rendered `(code, output)` result through the sink: success
-/// output is a report (written with graceful broken-pipe handling), anything
-/// else is help/error text for the caller to place.
-fn emit(result: (i32, String), sink: &mut impl std::io::Write) -> (i32, String) {
-    let (code, out) = result;
-    if code != exit::OK {
-        return (code, out);
-    }
-    match commands::emit_report(sink, &out) {
-        Ok(()) => (exit::OK, String::new()),
-        Err(e) => (exit::RUNTIME, e),
     }
 }

@@ -14,7 +14,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let (code, output) = hdoutlier_cli::run_to(&argv, &mut out);
+    let (code, output) = hdoutlier_cli::run_with(&argv, std::io::stdin().lock(), &mut out);
     let result = if code == hdoutlier_cli::exit::OK {
         out.write_all(output.as_bytes()).and_then(|()| out.flush())
     } else {

@@ -5,26 +5,27 @@
 //! reports.
 
 use crate::args::{Parsed, Spec};
-use crate::json::{FieldChain, Json, JsonError};
+use hdoutlier_json::{FieldChain, Json, JsonError};
 use hdoutlier_obs as obs;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Help text for the shared flags; appended to each subcommand's OPTIONS.
-pub const HELP: &str = "\
-    --log-level <l>      emit pipeline events on stderr at error|warn|info|debug|trace
+/// (No `\` line continuation after the opening quote: it would eat the
+/// first line's indent.)
+pub const HELP: &str =
+    "    --log-level <l>      emit pipeline events on stderr (error|warn|info|debug|trace)
     --log-json           render events as NDJSON instead of human-readable text
-    --metrics-out <p>    enable timing metrics and write a final NDJSON snapshot to <p>
-    --trace-out <p>      profile spans and write Chrome trace-event JSON to <p>
-    --profile-out <p>    sample span stacks while the command runs and write
-                         folded (flamegraph) stacks to <p>
-    --profile-hz <n>     sampling rate for --profile-out (default 99, max 1000)
+    --metrics-out <p>    enable timing metrics and write an NDJSON snapshot to <p>
+    --trace-out <p>      profile spans, write Chrome trace-event JSON to <p>
+    --profile-out <p>    sample span stacks, write folded flamegraph stacks to <p>
+    --profile-hz <n>     sampling rate for --profile-out (default 99)
 ";
 
-/// Help text for `--serve-metrics`; appended by the commands that declare
-/// the flag (`stream`, `detect`).
-pub const SERVE_HELP: &str = "\
-    --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
+/// Help text for `--serve-metrics`; appended after [`HELP`] for the
+/// commands that declare the flag (`stream`, `detect`).
+pub const SERVE_HELP: &str =
+    "    --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
                          (e.g. 127.0.0.1:9184; port 0 picks one, echoed on stderr)
 ";
 
@@ -145,15 +146,9 @@ impl ObsSession {
         })
     }
 
-    /// Whether a metrics snapshot was requested (`--metrics-out`).
-    pub fn wants_metrics(&self) -> bool {
-        self.metrics_out.is_some()
-    }
-
     /// Writes the requested exports (metrics NDJSON, Chrome trace JSON),
     /// detaches the trace buffer, and shuts the telemetry server down.
-    /// Idempotent: a second call is a no-op, so error paths that already
-    /// finished can return freely.
+    /// Idempotent: a second call is a no-op.
     ///
     /// # Errors
     /// A runtime message when an export file cannot be written.
@@ -338,13 +333,13 @@ mod tests {
         // dispatcher lifecycle is covered in hdoutlier-obs itself.
         let parsed = spec.parse(&argv(&["--log-level", "warn"])).unwrap();
         let session = ObsSession::init(&parsed).unwrap();
-        assert!(!session.wants_metrics());
+        assert!(session.metrics_out.is_none());
 
         let parsed = spec
             .parse(&argv(&["--metrics-out", "/tmp/unused.ndjson"]))
             .unwrap();
         let session = ObsSession::init(&parsed).unwrap();
-        assert!(session.wants_metrics());
+        assert!(session.metrics_out.is_some());
 
         let parsed = spec.parse(&argv(&[])).unwrap();
         let _ = ObsSession::init(&parsed).unwrap();

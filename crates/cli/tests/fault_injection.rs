@@ -1,15 +1,14 @@
 //! Fault-injection harness for `hdoutlier stream`: scripted readers and
-//! writers drive `run_streaming` through I/O failures, corrupt records,
+//! writers drive `hdoutlier_cli::run_with` through I/O failures, corrupt records,
 //! consumer hang-ups, and kill/resume cycles, proving every `--on-error`
 //! policy path, the circuit breaker, and checkpoint atomicity end to end.
 
-use hdoutlier_cli::commands::stream;
 use hdoutlier_cli::exit;
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_stream::checkpoint::{prev_path, staging_path};
 use hdoutlier_stream::Checkpoint;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A reader that replays a script of chunks and injected `io::Error`s —
@@ -120,8 +119,18 @@ fn train(name: &str, seed: u64) -> (PathBuf, Vec<String>) {
     (model, lines)
 }
 
+/// Runs the command over `input`, collecting the verdicts and any trailing
+/// error into one string.
+fn run_with_input(argv: &[String], input: impl BufRead) -> (i32, String) {
+    let mut sink = Vec::new();
+    let (code, err) = hdoutlier_cli::run_with(argv, input, &mut sink);
+    let mut out = String::from_utf8(sink).expect("verdicts are valid UTF-8");
+    out.push_str(&err);
+    (code, out)
+}
+
 fn stream_args(model: &Path, extra: &[&str]) -> Vec<String> {
-    let mut args = argv(&["--model", model.to_str().unwrap(), "--no-header"]);
+    let mut args = argv(&["stream", "--model", model.to_str().unwrap(), "--no-header"]);
     args.extend(extra.iter().map(|s| s.to_string()));
     args
 }
@@ -156,13 +165,13 @@ fn skip_policy_on_10k_stream_with_5pct_corruption_matches_clean_run() {
     }
     assert_eq!(n_corrupt, 500); // 5% of 10k
 
-    let (code, reference) = stream::run_with_input(
+    let (code, reference) = run_with_input(
         &stream_args(&model, &["--drift-every", "1000"]),
         clean.as_bytes(),
     );
     assert_eq!(code, exit::OK, "{reference}");
 
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model, &["--drift-every", "1000", "--on-error", "skip"]),
         dirty.as_bytes(),
     );
@@ -188,7 +197,7 @@ fn quarantine_policy_files_raw_lines_in_order_and_keeps_scoring() {
         lines[0], lines[1], lines[2]
     );
     let quarantine_flag = format!("quarantine:{}", qpath.display());
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model, &["--on-error", &quarantine_flag]),
         input.as_bytes(),
     );
@@ -208,7 +217,7 @@ fn quarantine_policy_files_raw_lines_in_order_and_keeps_scoring() {
     assert_eq!(filed, "not,numbers,at,all,x,y\ngarbage\n");
 
     // A restart appends rather than truncating the evidence.
-    let (code, _) = stream::run_with_input(
+    let (code, _) = run_with_input(
         &stream_args(&model, &["--on-error", &quarantine_flag]),
         "garbage again\n".as_bytes(),
     );
@@ -239,7 +248,7 @@ fn read_faults_survive_skip_and_kill_abort() {
         ]
     };
 
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model, &["--on-error", "skip"]),
         FaultyReader::new(script(&lines)),
     );
@@ -252,8 +261,7 @@ fn read_faults_survive_skip_and_kill_abort() {
     assert_eq!(verdicts.len(), 3, "{out}");
     assert!(verdicts[2].contains("\"record\":2"), "{}", verdicts[2]);
 
-    let (code, out) =
-        stream::run_with_input(&stream_args(&model, &[]), FaultyReader::new(script(&lines)));
+    let (code, out) = run_with_input(&stream_args(&model, &[]), FaultyReader::new(script(&lines)));
     assert_eq!(code, exit::RUNTIME);
     assert!(out.contains("stdin read failed"), "{out}");
 }
@@ -263,7 +271,7 @@ fn circuit_breaker_trips_on_scripted_garbage_despite_skip_policy() {
     let (model, lines) = train("breaker", 64);
     let mut input = format!("{}\n", lines[0]);
     input.push_str(&"garbage\n".repeat(6));
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(
             &model,
             &["--on-error", "skip", "--max-consecutive-errors", "5"],
@@ -288,7 +296,8 @@ fn write_faults_hard_failure_vs_consumer_hangup() {
     let input = lines[..10].join("\n") + "\n";
 
     let mut hard = FaultyWriter::new(3, io::ErrorKind::Other);
-    let (code, err) = stream::run_streaming(&stream_args(&model, &[]), input.as_bytes(), &mut hard);
+    let (code, err) =
+        hdoutlier_cli::run_with(&stream_args(&model, &[]), input.as_bytes(), &mut hard);
     assert_eq!(code, exit::RUNTIME);
     assert!(err.contains("stdout write failed"), "{err}");
     assert_eq!(hard.text().lines().count(), 3);
@@ -296,7 +305,7 @@ fn write_faults_hard_failure_vs_consumer_hangup() {
     let ckpt = temp_dir().join("hangup.ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
     let mut pipe = FaultyWriter::new(3, io::ErrorKind::BrokenPipe);
-    let (code, err) = stream::run_streaming(
+    let (code, err) = hdoutlier_cli::run_with(
         &stream_args(&model, &["--checkpoint", ckpt.to_str().unwrap()]),
         input.as_bytes(),
         &mut pipe,
@@ -320,7 +329,7 @@ fn kill_and_resume_reproduces_uninterrupted_output_byte_for_byte() {
     let _ = std::fs::remove_file(&ckpt);
 
     let all = lines.join("\n") + "\n";
-    let (code, full) = stream::run_with_input(
+    let (code, full) = run_with_input(
         &stream_args(&model, &["--drift-every", "100"]),
         all.as_bytes(),
     );
@@ -328,7 +337,7 @@ fn kill_and_resume_reproduces_uninterrupted_output_byte_for_byte() {
     assert!(full.contains("\"drift\":"), "{full}");
 
     let first_half = lines[..200].join("\n") + "\n";
-    let (code, first) = stream::run_with_input(
+    let (code, first) = run_with_input(
         &stream_args(
             &model,
             &[
@@ -347,7 +356,7 @@ fn kill_and_resume_reproduces_uninterrupted_output_byte_for_byte() {
     // Resume deliberately omits --drift-every: the cadence must travel in
     // the checkpoint.
     let second_half = lines[200..].join("\n") + "\n";
-    let (code, second) = stream::run_with_input(
+    let (code, second) = run_with_input(
         &stream_args(&model, &["--resume", ckpt.to_str().unwrap()]),
         second_half.as_bytes(),
     );
@@ -364,13 +373,13 @@ fn resume_rejects_a_checkpoint_from_a_different_model() {
     let _ = std::fs::remove_file(&ckpt);
 
     let input = lines[..50].join("\n") + "\n";
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model_a, &["--checkpoint", ckpt.to_str().unwrap()]),
         input.as_bytes(),
     );
     assert_eq!(code, exit::OK, "{out}");
 
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model_b, &["--resume", ckpt.to_str().unwrap()]),
         input.as_bytes(),
     );
@@ -380,7 +389,7 @@ fn resume_rejects_a_checkpoint_from_a_different_model() {
     // A corrupted checkpoint is rejected just as loudly.
     let good = std::fs::read_to_string(&ckpt).unwrap();
     std::fs::write(&ckpt, &good[..good.len() / 2]).unwrap();
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model_a, &["--resume", ckpt.to_str().unwrap()]),
         input.as_bytes(),
     );
@@ -398,7 +407,7 @@ fn stale_staging_file_from_a_killed_run_is_harmless() {
     std::fs::write(staging_path(&ckpt), "{\"torn\": tru").unwrap();
 
     let input = lines[..30].join("\n") + "\n";
-    let (code, out) = stream::run_with_input(
+    let (code, out) = run_with_input(
         &stream_args(&model, &["--checkpoint", ckpt.to_str().unwrap()]),
         input.as_bytes(),
     );
@@ -423,7 +432,7 @@ fn batched_cadence_checkpoints_once_per_crossed_multiple() {
     for (batch, prev_records) in [("64", 960), ("1", 900)] {
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(prev_path(&ckpt));
-        let (code, out) = stream::run_with_input(
+        let (code, out) = run_with_input(
             &stream_args(
                 &model,
                 &[

@@ -4,7 +4,7 @@
 //! round trip whose continuation must match an uninterrupted run, and
 //! graceful drain on SIGTERM and on `POST /shutdown`.
 
-use hdoutlier_cli::json::Json;
+use hdoutlier_json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};

@@ -1,9 +1,11 @@
 //! End-to-end smoke test exercising the observability flags the way ci.sh
 //! documents them: run `detect` with `--log-json --metrics-out` on a tiny
-//! dataset and validate every produced artifact with the in-tree parser.
+//! dataset and validate every produced artifact with the in-tree parser;
+//! then check that every subcommand writes its telemetry files on error
+//! exits as well.
 
-use hdoutlier_cli::json::Json;
 use hdoutlier_cli::{exit, run};
+use hdoutlier_json::Json;
 use std::collections::HashMap;
 use std::process::Command;
 
@@ -154,5 +156,58 @@ fn binary_metrics_out_carries_alloc_process_and_brute_counters() {
     value("hdoutlier.core.brute.pruned_subtrees");
     value("hdoutlier.core.brute.histogram_nodes");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every subcommand writes its `--metrics-out` snapshot and `--trace-out`
+/// file on an error exit too, not only on success: one usage or runtime
+/// error per command, each after the telemetry session opened, each in a
+/// fresh process of the shipped binary.
+#[test]
+fn every_subcommand_writes_telemetry_on_error_exits() {
+    let dir = std::env::temp_dir().join(format!("hdoutlier-smoke-err-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let missing = dir.join("missing.csv");
+    let missing = missing.to_str().unwrap();
+    let missing_model = dir.join("missing.model.json");
+    let missing_model = missing_model.to_str().unwrap();
+    let cases: [(&str, &[&str], i32); 8] = [
+        ("detect", &[missing], exit::RUNTIME),
+        ("score", &["--model", missing_model, missing], exit::RUNTIME),
+        ("stream", &["--model", missing_model], exit::RUNTIME),
+        ("serve", &["--max-sessions", "0"], exit::USAGE),
+        ("explain", &["--row", "0", missing], exit::RUNTIME),
+        ("advise", &["--records", "0"], exit::USAGE),
+        ("baseline", &["--method", "knn", missing], exit::RUNTIME),
+        ("scenario", &["frobnicate"], exit::USAGE),
+    ];
+    for (command, args, expected) in cases {
+        let metrics = dir.join(format!("{command}.metrics.ndjson"));
+        let trace = dir.join(format!("{command}.trace.json"));
+        let output = Command::new(env!("CARGO_BIN_EXE_hdoutlier"))
+            .arg(command)
+            .args(args)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .arg("--trace-out")
+            .arg(&trace)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("spawn hdoutlier");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(expected), "{command}: {stderr}");
+
+        let snapshot = std::fs::read_to_string(&metrics)
+            .unwrap_or_else(|e| panic!("{command}: no metrics snapshot ({e}); {stderr}"));
+        assert!(!snapshot.trim().is_empty(), "{command}: empty snapshot");
+        for line in snapshot.lines() {
+            let j = Json::parse(line).unwrap_or_else(|e| panic!("{command}: {e}\n{line}"));
+            assert!(j.get("metric").and_then(Json::as_str).is_some(), "{line}");
+        }
+        let text = std::fs::read_to_string(&trace)
+            .unwrap_or_else(|e| panic!("{command}: no trace file ({e}); {stderr}"));
+        let j = Json::parse(&text).unwrap_or_else(|e| panic!("{command}: {e}\n{text}"));
+        assert!(j.get("traceEvents").is_some(), "{command}: {text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

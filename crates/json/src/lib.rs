@@ -74,7 +74,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(n) => write_number(out, *n),
-            Json::String(s) => write_escaped(out, s),
+            Json::String(s) => write_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -91,7 +91,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -127,7 +127,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     pad(out, depth + 1);
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                 }
@@ -180,7 +180,11 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters. The one string escaper of the
+/// workspace: reports, checkpoints, telemetry exports and bench datapoints
+/// all write strings through it.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -6,7 +6,7 @@
 //! registry's mutex is touched only when a handle is first resolved by
 //! name — resolve once, store the handle, update forever.
 
-use crate::sink::escape_json_into;
+use hdoutlier_json::write_string;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -657,24 +657,21 @@ impl Registry {
     pub fn snapshot_ndjson(&self) -> String {
         let mut out = String::new();
         for m in self.snapshot() {
-            out.push_str("{\"metric\":\"");
-            escape_json_into(&mut out, &m.name);
+            out.push_str("{\"metric\":");
+            write_string(&mut out, &m.name);
             if !m.labels.is_empty() {
-                out.push_str("\",\"labels\":{");
+                out.push_str(",\"labels\":{");
                 for (i, (k, v)) in m.labels.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('"');
-                    escape_json_into(&mut out, k);
-                    out.push_str("\":\"");
-                    escape_json_into(&mut out, v);
-                    out.push('"');
+                    write_string(&mut out, k);
+                    out.push(':');
+                    write_string(&mut out, v);
                 }
-                out.push_str("},\"type\":\"");
-            } else {
-                out.push_str("\",\"type\":\"");
+                out.push('}');
             }
+            out.push_str(",\"type\":\"");
             match &m.value {
                 SnapshotValue::Counter(v) => {
                     out.push_str("counter\",\"value\":");

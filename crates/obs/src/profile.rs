@@ -704,9 +704,7 @@ impl ProfileReport {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                crate::sink::escape_json_into(&mut out, frame);
-                out.push('"');
+                hdoutlier_json::write_string(&mut out, frame);
             }
             out.push_str("],\"samples\":");
             out.push_str(&e.samples.to_string());

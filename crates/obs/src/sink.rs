@@ -3,6 +3,7 @@
 //! CLI's in-tree JSON parser expects.
 
 use crate::event::{EventRecord, Value};
+use hdoutlier_json::write_string;
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -15,24 +16,6 @@ pub trait Sink: Send + Sync {
     fn emit(&self, record: &EventRecord<'_>);
 }
 
-/// Appends `s` to `out` as JSON string *contents* (no surrounding quotes),
-/// escaping quotes, backslashes, and control characters.
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Appends one field value to `out` as a JSON value. Non-finite floats
 /// become `null` (JSON has no NaN/Infinity).
 pub(crate) fn value_json_into(out: &mut String, v: &Value<'_>) {
@@ -42,11 +25,7 @@ pub(crate) fn value_json_into(out: &mut String, v: &Value<'_>) {
         Value::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
         Value::F64(_) => out.push_str("null"),
         Value::Bool(v) => out.push_str(&v.to_string()),
-        Value::Str(s) => {
-            out.push('"');
-            escape_json_into(out, s);
-            out.push('"');
-        }
+        Value::Str(s) => write_string(out, s),
     }
 }
 
@@ -60,15 +39,14 @@ pub fn render_ndjson(record: &EventRecord<'_>) -> String {
     out.push_str(&record.ts_us.to_string());
     out.push_str(",\"level\":\"");
     out.push_str(record.level.as_str());
-    out.push_str("\",\"target\":\"");
-    escape_json_into(&mut out, record.target);
-    out.push_str("\",\"event\":\"");
-    escape_json_into(&mut out, record.name);
-    out.push('"');
+    out.push_str("\",\"target\":");
+    write_string(&mut out, record.target);
+    out.push_str(",\"event\":");
+    write_string(&mut out, record.name);
     for (key, value) in record.fields {
-        out.push_str(",\"");
-        escape_json_into(&mut out, key);
-        out.push_str("\":");
+        out.push(',');
+        write_string(&mut out, key);
+        out.push(':');
         value_json_into(&mut out, value);
     }
     out.push('}');

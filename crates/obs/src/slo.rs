@@ -25,7 +25,6 @@
 
 use crate::event::Value;
 use crate::level::Level;
-use crate::sink::escape_json_into;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -329,9 +328,9 @@ impl SloReport {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"key\":\"");
-            escape_json_into(&mut out, &k.key);
-            out.push_str("\",\"status\":\"");
+            out.push_str("{\"key\":");
+            hdoutlier_json::write_string(&mut out, &k.key);
+            out.push_str(",\"status\":\"");
             out.push_str(k.verdict.as_str());
             out.push_str("\",\"error_rate\":");
             push_json_f64(&mut out, k.error_rate);

@@ -15,6 +15,7 @@
 //! limit inside a long-running serve loop.
 
 use crate::ctx::RequestCtx;
+use hdoutlier_json::write_string;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -135,11 +136,11 @@ impl TraceBuffer {
             // Names and targets are 'static identifiers from the
             // workspace's instrumentation — no JSON-special characters —
             // but escape anyway so a future caller can't corrupt the file.
-            out.push_str("\n{\"name\":\"");
-            crate::sink::escape_json_into(&mut out, e.name);
-            out.push_str("\",\"cat\":\"");
-            crate::sink::escape_json_into(&mut out, e.target);
-            out.push_str("\",\"ph\":\"");
+            out.push_str("\n{\"name\":");
+            write_string(&mut out, e.name);
+            out.push_str(",\"cat\":");
+            write_string(&mut out, e.target);
+            out.push_str(",\"ph\":\"");
             out.push(e.ph);
             out.push_str("\",\"ts\":");
             out.push_str(&e.ts_us.to_string());
@@ -148,13 +149,11 @@ impl TraceBuffer {
             out.push_str(",\"tid\":");
             out.push_str(&e.tid.to_string());
             if let Some(ctx) = e.ctx.as_ref() {
-                out.push_str(",\"args\":{\"request_id\":\"");
-                crate::sink::escape_json_into(&mut out, ctx.request_id());
-                out.push('"');
+                out.push_str(",\"args\":{\"request_id\":");
+                write_string(&mut out, ctx.request_id());
                 if let Some(session) = ctx.session_id() {
-                    out.push_str(",\"session_id\":\"");
-                    crate::sink::escape_json_into(&mut out, session);
-                    out.push('"');
+                    out.push_str(",\"session_id\":");
+                    write_string(&mut out, session);
                 }
                 out.push('}');
             }

@@ -136,6 +136,9 @@ fn scrape_while_recording_is_consistent() {
     static SCRAPED: obs::Registry = obs::Registry::new();
     const WRITERS: usize = 4;
     const PER_THREAD: u64 = 20_000;
+    // Register the histogram before any thread starts, so the reader's
+    // renders cannot all run before a writer registers it.
+    SCRAPED.histogram_with_bounds("hdoutlier.test.race.lat", &[1.0, 10.0]);
     let writers: Vec<_> = (0..WRITERS)
         .map(|_| {
             thread::spawn(|| {

@@ -296,16 +296,14 @@ impl Session {
         let resume_from = options.checkpoint.clone().filter(|p| {
             resume && (p.exists() || hdoutlier_stream::checkpoint::prev_path(p).exists())
         });
-        let (mut core, recovered) = ScoringSession::open(scorer, options, resume_from.as_deref())
+        // A resumed session's lines continue from the checkpointed counter,
+        // so error verdicts number lines as one continuous run would.
+        let (core, recovered) = ScoringSession::open(scorer, options, resume_from.as_deref())
             .map_err(|e| match e {
-            OpenError::Io(m) => CreateError::Io(m),
-            OpenError::Restore(m) => CreateError::Resume(m),
-            OpenError::Drift(m) => CreateError::Config(m),
-        })?;
-        // Lines continue from the checkpointed totals, so error verdicts
-        // number lines as one continuous run would — except for blank
-        // lines, which no checkpoint counts.
-        core.set_line_no(core.scorer().records_scored() + core.skipped() + core.quarantined());
+                OpenError::Io(m) => CreateError::Io(m),
+                OpenError::Restore(m) => CreateError::Resume(m),
+                OpenError::Drift(m) => CreateError::Config(m),
+            })?;
         Ok(Session {
             id,
             core,

@@ -352,6 +352,41 @@ fn checkpoint_resume_round_trip_continues_the_exact_stream() {
 }
 
 #[test]
+fn resumed_session_numbers_lines_past_the_blank_lines_it_held() {
+    let (model, ds) = fitted(103);
+    let dir = temp_dir("resume-lines");
+    let config = || ServeConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let skip_session = |extra: &str| {
+        let id = format!("\"id\": \"l\", \"on_error\": \"skip\"{extra}");
+        req("POST", "/sessions", create_body(&model, &id))
+    };
+
+    // Lines 1-6: three records, a blank line, two records.
+    let first = ServeApp::new(config());
+    assert_eq!(first.handle(&skip_session("")).status, 201);
+    let body = format!("{}\n{}", ndjson_rows(&ds, 0..3), ndjson_rows(&ds, 3..5));
+    let response = first.handle(&req("POST", "/sessions/l/score", body));
+    assert_eq!(response.status, 200);
+    assert_eq!(first.handle(&req("DELETE", "/sessions/l", "")).status, 200);
+
+    // The resumed session's next line is line 7, as in one continuous run.
+    let second = ServeApp::new(config());
+    let resumed = second.handle(&skip_session(", \"resume\": true"));
+    assert_eq!(resumed.status, 201, "{}", body_text(&resumed));
+    let response = second.handle(&req("POST", "/sessions/l/score", "bad\n"));
+    assert_eq!(response.status, 200);
+    let verdict = Json::parse(body_text(&response).trim_end()).unwrap();
+    assert_eq!(verdict.get("line").unwrap().as_number(), Some(7.0));
+    let saved = std::fs::read_to_string(dir.join("l.ckpt.json")).unwrap();
+    let saved = Json::parse(&saved).unwrap();
+    let lines = saved.get("stream").and_then(|s| s.get("lines"));
+    assert_eq!(lines.and_then(Json::as_number), Some(6.0));
+}
+
+#[test]
 fn forced_checkpoints_need_a_directory_and_write_atomically() {
     let (model, ds) = fitted(103);
 

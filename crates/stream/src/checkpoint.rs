@@ -136,6 +136,11 @@ pub struct Checkpoint {
     pub skipped: u64,
     /// Records quarantined by the caller's error policy.
     pub quarantined: u64,
+    /// Input lines the writing session had counted (blank lines included),
+    /// so a resumed session numbers its next line as one continuous run
+    /// would. Files written before the field existed load with
+    /// `records_scored + skipped + quarantined`, which misses blank lines.
+    pub lines: u64,
     /// Drift-check significance level in effect.
     pub drift_alpha: f64,
     /// Drift-check cadence in effect.
@@ -149,7 +154,9 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshots a scorer plus the caller's skip/quarantine totals.
+    /// Snapshots a scorer plus the caller's skip/quarantine totals; `lines`
+    /// is their sum with the records scored, for callers that count no
+    /// blank lines.
     pub fn capture(scorer: &OnlineScorer, skipped: u64, quarantined: u64) -> Self {
         let monitor = scorer.monitor();
         Checkpoint {
@@ -158,6 +165,7 @@ impl Checkpoint {
             outliers: scorer.outliers_flagged(),
             skipped,
             quarantined,
+            lines: scorer.records_scored() + skipped + quarantined,
             drift_alpha: scorer.drift_alpha(),
             check_every: scorer.check_every(),
             drift_records: monitor.records_observed(),
@@ -227,7 +235,8 @@ impl Checkpoint {
                 "stream",
                 Json::object()
                     .field("skipped", self.skipped)
-                    .field("quarantined", self.quarantined)?,
+                    .field("quarantined", self.quarantined)
+                    .field("lines", self.lines)?,
             )
     }
 
@@ -269,12 +278,20 @@ impl Checkpoint {
             .and_then(Json::as_number)
             .filter(|a| *a > 0.0 && *a < 1.0)
             .ok_or_else(|| schema("scorer.drift_alpha must be in (0, 1)".into()))?;
+        let records_scored = count_field(scorer, "records_scored")?;
+        let skipped = count_field(stream, "skipped")?;
+        let quarantined = count_field(stream, "quarantined")?;
+        let lines = match stream.get("lines") {
+            Some(_) => count_field(stream, "lines")?,
+            None => records_scored + skipped + quarantined,
+        };
         Ok(Checkpoint {
             fingerprint,
-            records_scored: count_field(scorer, "records_scored")?,
+            records_scored,
             outliers: count_field(scorer, "outliers")?,
-            skipped: count_field(stream, "skipped")?,
-            quarantined: count_field(stream, "quarantined")?,
+            skipped,
+            quarantined,
+            lines,
             drift_alpha,
             check_every: count_field(scorer, "check_every")?,
             drift_records: count_field(drift, "records")?,

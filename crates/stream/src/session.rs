@@ -188,9 +188,10 @@ pub struct ScoringSession {
 
 impl ScoringSession {
     /// Builds a session: restores `resume_from` when given (falling back to
-    /// its `.prev` generation), then applies the drift overrides, then
-    /// opens the quarantine file in append mode. Returns where the state
-    /// came from when a checkpoint was restored.
+    /// its `.prev` generation; scorer state, totals and line counter), then
+    /// applies the drift overrides, then opens the quarantine file in
+    /// append mode. Returns where the state came from when a checkpoint was
+    /// restored.
     ///
     /// # Errors
     /// [`OpenError`] naming the step that failed.
@@ -199,7 +200,7 @@ impl ScoringSession {
         mut options: SessionOptions,
         resume_from: Option<&Path>,
     ) -> Result<(Self, Option<RecoveredFrom>), OpenError> {
-        let (mut skipped, mut quarantined, mut recovered_from) = (0, 0, None);
+        let (mut skipped, mut quarantined, mut line_no, mut recovered_from) = (0, 0, 0, None);
         if let Some(path) = resume_from {
             let cannot =
                 |e: &dyn std::fmt::Display| format!("cannot resume from {}: {e}", path.display());
@@ -228,7 +229,8 @@ impl ScoringSession {
                     ("quarantined", obs::Value::U64(cp.quarantined)),
                 ],
             );
-            (skipped, quarantined, recovered_from) = (cp.skipped, cp.quarantined, Some(recovered));
+            (skipped, quarantined, line_no) = (cp.skipped, cp.quarantined, cp.lines);
+            recovered_from = Some(recovered);
         }
         let drift = |e: DataError| OpenError::Drift(e.to_string());
         if let Some(alpha) = options.drift_alpha {
@@ -258,7 +260,7 @@ impl ScoringSession {
             consecutive_errors: 0,
             skipped,
             quarantined,
-            line_no: 0,
+            line_no,
             skipped_ctr: registry.counter("hdoutlier.stream.skipped"),
             quarantined_ctr: registry.counter("hdoutlier.stream.quarantined"),
             checkpoints_ctr: registry.counter("hdoutlier.stream.checkpoints"),
@@ -291,7 +293,8 @@ impl ScoringSession {
         self.line_no
     }
 
-    /// Sets the line counter, e.g. to continue numbering after a resume.
+    /// Sets the line counter, e.g. to number a new input from 1 after a
+    /// resume.
     pub fn set_line_no(&mut self, line_no: u64) {
         self.line_no = line_no;
     }
@@ -404,7 +407,11 @@ impl ScoringSession {
         let Some(path) = &self.options.checkpoint else {
             return Ok(false);
         };
-        Checkpoint::capture(&self.scorer, self.skipped, self.quarantined)
+        let checkpoint = Checkpoint {
+            lines: self.line_no,
+            ..Checkpoint::capture(&self.scorer, self.skipped, self.quarantined)
+        };
+        checkpoint
             .save_atomic(path)
             .map_err(|e| format!("failed to checkpoint to {}: {e}", path.display()))?;
         self.checkpoints_ctr.inc();
